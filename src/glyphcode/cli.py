@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
+from dataclasses import replace
 
 from . import codebook as cb
 from . import config as cfgmod
@@ -22,36 +25,57 @@ EXIT_CORPUS = 3
 EXIT_CODEBOOK = 4
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class CommandError(Exception):
+    """A failure that `main` reports as ``error: <message>`` with `code`."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def _load_engine_config(args) -> cfgmod.EngineConfig:
-    cfg = cfgmod.load_config(args.config) if args.config else cfgmod.EngineConfig()
-    if getattr(args, "threshold", None) is not None:
-        from dataclasses import replace
-
+    try:
+        cfg = cfgmod.load_config(args.config) if args.config else cfgmod.EngineConfig()
+    except (OSError, ValueError) as exc:
+        raise CommandError(EXIT_PARSE, str(exc)) from exc
+    if args.threshold is not None:
         cfg = replace(cfg, threshold=args.threshold)
     return cfg
 
 
-def cmd_thin(args) -> int:
+def _read_input(args):
+    """The engine config and the input raster; exit 2 when either fails."""
+    cfg = _load_engine_config(args)
     try:
-        cfg = _load_engine_config(args)
-        image = raster.load_image(args.input, cfg.threshold)
+        return cfg, raster.load_image(args.input, cfg.threshold)
     except (OSError, ValueError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
+        raise CommandError(EXIT_PARSE, str(exc)) from exc
+
+
+def _load_books(paths):
+    try:
+        return [cb.load_codebook(p) for p in paths]
+    except cb.CodebookFormatError as exc:
+        raise CommandError(EXIT_CODEBOOK, str(exc)) from exc
+
+
+def _read_word(args) -> encoder.WordCode:
+    """The encoded input, scaled by 1/--size when a size is given."""
+    if args.size is not None and not 0 < args.size < math.inf:
+        raise CommandError(EXIT_PARSE, f"--size must be finite and positive, got {args.size}")
+    cfg, image = _read_input(args)
+    word = encoder.encode_word(image, cfg.encoder)
+    return word if args.size is None else encoder.scale_word(word, 1.0 / args.size)
+
+
+def cmd_thin(args) -> int:
+    _, image = _read_input(args)
     raster.write_pbm(raster.thin(image), args.output)
     return EXIT_OK
 
 
 def cmd_segment(args) -> int:
-    try:
-        cfg = _load_engine_config(args)
-        image = raster.load_image(args.input, cfg.threshold)
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    _, image = _read_input(args)
     strokes = encoder.order_strokes(raster.segment(raster.thin(image)))
     out = [
         {"pixels": len(s), "centroid": [s.centroid[0], s.centroid[1]]}
@@ -62,11 +86,7 @@ def cmd_segment(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    try:
-        cfg = _load_engine_config(args)
-        image = raster.load_image(args.input, cfg.threshold)
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    cfg, image = _read_input(args)
     pixels = image.foreground()
     result = {}
     try:
@@ -92,7 +112,7 @@ def cmd_fit(args) -> int:
             }
     except (geomfit.DegenerateInputError, geomfit.NumericalFitError,
             geomfit.NonEllipseError) as exc:
-        return _fail(EXIT_PARSE, f"fit failed: {exc}")
+        raise CommandError(EXIT_PARSE, f"fit failed: {exc}") from exc
     print(json.dumps(result, indent=1))
     if args.svg:
         word = encoder.encode_word(image, cfg.encoder)
@@ -102,11 +122,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    try:
-        cfg = _load_engine_config(args)
-        image = raster.load_image(args.input, cfg.threshold)
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    cfg, image = _read_input(args)
     word = encoder.encode_word(image, cfg.encoder)
     text = encoder.word_to_json(word, indent=1)
     if args.output:
@@ -121,24 +137,19 @@ def cmd_encode(args) -> int:
 
 
 def cmd_build_codebook(args) -> int:
-    import os
-
-    try:
-        cfg = _load_engine_config(args)
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    cfg = _load_engine_config(args)
     if not os.path.isdir(args.corpus):
-        return _fail(EXIT_CORPUS, f"corpus directory not found: {args.corpus}")
-    table = cb.arabic_connectivity()
+        raise CommandError(EXIT_CORPUS, f"corpus directory not found: {args.corpus}")
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError as exc:
-        return _fail(EXIT_PARSE, f"bad sizes: {exc}")
+        raise CommandError(EXIT_PARSE, f"bad sizes: {exc}") from exc
     book = cb.build_codebook(
-        args.corpus, table, sizes, cfg.encoder, cfg.tolerances, font=args.font
+        args.corpus, cb.arabic_connectivity(), sizes, cfg.encoder, cfg.tolerances,
+        font=args.font,
     )
     if not book.entries and not book.flagged:
-        return _fail(EXIT_CORPUS, "corpus produced no codebook entries")
+        raise CommandError(EXIT_CORPUS, "corpus produced no codebook entries")
     cb.build_fingerprints([book])
     cb.save_codebook(book, args.output)
     print(
@@ -148,41 +159,17 @@ def cmd_build_codebook(args) -> int:
     return EXIT_OK
 
 
-def _load_books(paths):
-    return [cb.load_codebook(p) for p in paths]
-
-
 def cmd_recognize(args) -> int:
-    try:
-        book = cb.load_codebook(args.codebook)
-    except cb.CodebookFormatError as exc:
-        return _fail(EXIT_CODEBOOK, str(exc))
-    try:
-        cfg = _load_engine_config(args)
-        image = raster.load_image(args.input, cfg.threshold)
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    word = encoder.encode_word(image, cfg.encoder)
-    if args.size:
-        word = encoder.scale_word(word, 1.0 / args.size)
+    (book,) = _load_books([args.codebook])
+    word = _read_word(args)
     for glyph, position, (si, off) in cb.recognize(word, book, book.tolerances):
         print(f"{glyph}\t{position}\t{si}\t{off}")
     return EXIT_OK
 
 
 def cmd_identify_font(args) -> int:
-    try:
-        books = _load_books(args.codebooks)
-    except cb.CodebookFormatError as exc:
-        return _fail(EXIT_CODEBOOK, str(exc))
-    try:
-        cfg = _load_engine_config(args)
-        image = raster.load_image(args.input, cfg.threshold)
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    word = encoder.encode_word(image, cfg.encoder)
-    if args.size:
-        word = encoder.scale_word(word, 1.0 / args.size)
+    books = _load_books(args.codebooks)
+    word = _read_word(args)
     name = cb.identify_font(word, books, books[0].tolerances)
     print(name if name else "unknown")
     return EXIT_OK
@@ -252,7 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CommandError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -10,12 +10,19 @@ spec's glyph ids with '-'.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from .config import TOLERANCE_KEYS
 from .encoder import (
+    CodedElement,
+    EllipseArcCode,
     EncoderConfig,
+    LineSegmentCode,
+    PointCode,
     SubWordCode,
     WordCode,
     encode_word,
@@ -228,43 +235,32 @@ def _flatten(word: WordCode) -> SubWordCode:
     return SubWordCode(tuple(elements))
 
 
-def _matched_counterparts(window, code: SubWordCode, t: MatchTolerances):
-    align = subset_alignment(window, code.elements, t)
-    if align is None:
-        return None
-    return [code.elements[r] for r in align]
+# the length-like fields averaged over a common window's counterparts
+_AVERAGED = {LineSegmentCode: ("l",), EllipseArcCode: ("a", "b"), PointCode: ()}
 
 
-def _average_window(window, inputs, t: MatchTolerances):
-    """Average lengths/axes of the window over its matched counterparts."""
-    from dataclasses import replace
+def _longest_common_window(codes, t: MatchTolerances):
+    """Longest window of the shortest code that subsets every other code.
 
-    from .encoder import CodedElement, LineSegmentCode
-    from .geomfit import EllipseArcCode
-
-    counterparts = [list(window)]
-    for code in inputs:
-        matched = _matched_counterparts(window, code, t)
-        if matched is None:
-            return None
-        counterparts.append(matched)
-    out = []
-    for i, el in enumerate(window):
-        peers = [c[i].code for c in counterparts]
-        code = el.code
-        if isinstance(code, LineSegmentCode):
-            ls = [p.l for p in peers if isinstance(p, LineSegmentCode)]
-            code = replace(code, l=sum(ls) / len(ls))
-        elif isinstance(code, EllipseArcCode):
-            axes_a = [p.a for p in peers if isinstance(p, EllipseArcCode)]
-            axes_b = [p.b for p in peers if isinstance(p, EllipseArcCode)]
-            code = replace(
-                code,
-                a=sum(axes_a) / len(axes_a),
-                b=sum(axes_b) / len(axes_b),
-            )
-        out.append(CodedElement(code, el.dirs, el.anchor))
-    return tuple(out)
+    Returns (window, matched): `matched` holds, per other code, the
+    elements its alignment paired with the window's elements.  None when
+    no nonempty window is common.
+    """
+    base = min(codes, key=len)
+    others = [c for c in codes if c is not base]
+    n = len(base.elements)
+    for length in range(n, 0, -1):
+        for start in range(0, n - length + 1):
+            window = base.elements[start : start + length]
+            matched = []
+            for code in others:
+                align = subset_alignment(window, code.elements, t)
+                if align is None:
+                    break
+                matched.append([code.elements[r] for r in align])
+            else:
+                return window, matched
+    return None
 
 
 def extract_common_code(codes, sizes, t: MatchTolerances) -> SubWordCode:
@@ -280,32 +276,19 @@ def extract_common_code(codes, sizes, t: MatchTolerances) -> SubWordCode:
     normed = [scale_subword(c, 1.0 / s) for c, s in zip(codes, sizes)]
     if len(normed) == 1:
         return normed[0]
-    base = min(normed, key=len)
-    others = [c for c in normed if c is not base]
-    n = len(base.elements)
-    for length in range(n, 0, -1):
-        for start in range(0, n - length + 1):
-            window = base.elements[start : start + length]
-            averaged = _average_window(window, others, t)
-            if averaged is not None:
-                return SubWordCode(averaged)
-    raise EmptyCommonError("no common subsequence across the inputs")
-
-
-def _longest_common_window(codes, t: MatchTolerances) -> SubWordCode | None:
-    """Longest window of the shortest code that subsets every code."""
-    base = min(codes, key=len)
-    others = [c for c in codes if c is not base]
-    n = len(base.elements)
-    for length in range(n, 0, -1):
-        for start in range(0, n - length + 1):
-            window = base.elements[start : start + length]
-            if all(
-                subset_alignment(window, c.elements, t) is not None
-                for c in others
-            ):
-                return SubWordCode(tuple(window))
-    return None
+    found = _longest_common_window(normed, t)
+    if found is None:
+        raise EmptyCommonError("no common subsequence across the inputs")
+    window, matched = found
+    out = []
+    for i, el in enumerate(window):
+        peers = [el.code] + [m[i].code for m in matched]
+        means = {
+            f: sum(getattr(p, f) for p in peers) / len(peers)
+            for f in _AVERAGED[type(el.code)]
+        }
+        out.append(CodedElement(replace(el.code, **means), el.dirs, el.anchor))
+    return SubWordCode(tuple(out))
 
 
 def build_codebook(
@@ -319,7 +302,8 @@ def build_codebook(
     """Encode a rendered corpus and isolate per-(glyph, position) codes.
 
     Missing rasters are skipped (counted); glyphs whose containing specs
-    share no common code are flagged instead of entered.
+    share no common code are flagged instead of entered.  `table` is
+    accepted and unused: the specs come from the corpus directory names.
     """
     font = font or os.path.basename(os.path.normpath(str(corpus_dir)))
     book = Codebook(font=font, tolerances=t)
@@ -355,15 +339,12 @@ def build_codebook(
     for spec, code in spec_codes:
         by_target.setdefault((spec.target, spec.position.value), []).append(code)
     for (glyph, pos), codes in sorted(by_target.items()):
-        if len(codes) == 1:
-            common = codes[0]
-        else:
-            common = _longest_common_window(codes, t)
-        if common is None or not common.elements:
+        found = _longest_common_window(codes, t)
+        if found is None:
             book.flagged.append((glyph, pos))
             continue
         book.entries[(glyph, pos)] = CharacterCode(
-            glyph, Position(pos), common
+            glyph, Position(pos), SubWordCode(tuple(found[0]))
         )
     return book
 
@@ -406,22 +387,24 @@ def identify_font(word: WordCode, books, t: MatchTolerances) -> str | None:
     return winners[0]
 
 
-def _alignments_avoiding(target: SubWordCode, word: WordCode, covered, t):
-    """All (si, offset, aligned-index-set) alignments on uncovered elements."""
-    out = []
+def _first_alignment_avoiding(target: SubWordCode, word: WordCode, covered, t):
+    """First (si, offset, aligned-index-set) alignment on uncovered elements.
+
+    Sub-words and offsets are visited in ascending order, so the first hit
+    is the earliest window; None when there is none.
+    """
     telems = target.elements
     for si, entry in enumerate(word.subwords):
         delems = entry.code.elements
-        free = [i for i in range(len(delems)) if i not in covered[si]]
-        if len(free) < len(telems):
+        if len(delems) - len(covered[si]) < len(telems):
             continue
         for j in range(len(delems) - len(telems) + 1):
             if j in covered[si]:
                 continue
             align = subset_alignment(telems, delems, t, anchor=j)
-            if align is not None and not any(r in covered[si] for r in align):
-                out.append((si, j, set(align)))
-    return out
+            if align is not None and covered[si].isdisjoint(align):
+                return si, j, set(align)
+    return None
 
 
 def recognize(word: WordCode, book: Codebook, t: MatchTolerances):
@@ -430,34 +413,31 @@ def recognize(word: WordCode, book: Codebook, t: MatchTolerances):
     Repeatedly takes the entry with the longest code that still matches
     an uncovered window (earlier windows preferred) and emits the matches
     in window order as (glyph, position, (sub-word index, offset)).
+    Entries with an empty code are skipped: they would cover nothing.
+
+    Covering only removes hits, so once no entry of one code length
+    matches, none of them matches later: the lengths are walked once,
+    longest first.
     """
     covered: dict[int, set[int]] = {i: set() for i in range(len(word.subwords))}
     ordered = sorted(
-        book.entries.values(),
+        (cc for cc in book.entries.values() if cc.code.elements),
         key=lambda cc: (-len(cc.code.elements), cc.glyph, cc.position.value),
     )
     results = []
-    while True:
-        placed = False
-        for target_len in sorted(
-            {len(cc.code.elements) for cc in ordered}, reverse=True
-        ):
-            candidates = []
-            for cc in ordered:
-                if len(cc.code.elements) != target_len:
-                    continue
-                hits = _alignments_avoiding(cc.code, word, covered, t)
-                if hits:
-                    si, j, aligned = min(hits, key=lambda h: (h[0], h[1]))
-                    candidates.append(((si, j), cc, aligned))
-            if candidates:
-                (si, j), cc, aligned = min(candidates, key=lambda c: c[0])
-                covered[si].update(aligned)
-                results.append((cc.glyph, cc.position.value, (si, j)))
-                placed = True
+    for _, group in itertools.groupby(ordered, key=lambda cc: len(cc.code.elements)):
+        group = list(group)
+        while True:
+            hits = []
+            for cc in group:
+                hit = _first_alignment_avoiding(cc.code, word, covered, t)
+                if hit is not None:
+                    hits.append((hit, cc))
+            if not hits:
                 break
-        if not placed:
-            break
+            (si, j, aligned), cc = min(hits, key=lambda h: h[0][:2])
+            covered[si].update(aligned)
+            results.append((cc.glyph, cc.position.value, (si, j)))
     results.sort(key=lambda r: r[2])
     return results
 
@@ -466,29 +446,21 @@ def recognize(word: WordCode, book: Codebook, t: MatchTolerances):
 # persistence
 
 def _tol_to_obj(t: MatchTolerances):
-    return {
-        "delta_l": t.dl,
-        "delta_alpha": t.dalpha,
-        "delta_a": t.da,
-        "delta_b": t.db,
-        "delta_phi": t.dphi,
-        "delta_beta": t.dbeta,
-        "delta_gamma": t.dgamma,
-        "delta_pt": t.dpt,
-    }
+    return {key: getattr(t, attr) for key, attr in TOLERANCE_KEYS.items()}
 
 
 def _tol_from_obj(obj) -> MatchTolerances:
-    return MatchTolerances(
-        dl=float(obj["delta_l"]),
-        dalpha=float(obj["delta_alpha"]),
-        da=float(obj["delta_a"]),
-        db=float(obj["delta_b"]),
-        dphi=float(obj["delta_phi"]),
-        dbeta=float(obj["delta_beta"]),
-        dgamma=float(obj["delta_gamma"]),
-        dpt=float(obj["delta_pt"]),
-    )
+    vals = {attr: float(obj[key]) for key, attr in TOLERANCE_KEYS.items()}
+    if not all(0 < v < math.inf for v in vals.values()):
+        raise ValueError(f"tolerances must be finite and positive: {obj}")
+    return MatchTolerances(**vals)
+
+
+def _code_from_obj(obj) -> SubWordCode:
+    code = subword_from_obj(obj)
+    if not code.elements:
+        raise ValueError("empty code")
+    return code
 
 
 def save_codebook(book: Codebook, path) -> None:
@@ -520,22 +492,18 @@ def load_codebook(path) -> Codebook:
         raise CodebookFormatError(f"cannot read codebook: {exc}") from exc
     try:
         if obj["schema_version"] != SCHEMA_VERSION:
-            raise CodebookFormatError(
-                f"unsupported schema_version {obj['schema_version']!r}"
-            )
+            raise ValueError(f"unsupported schema_version {obj['schema_version']!r}")
         book = Codebook(
             font=obj["font"], tolerances=_tol_from_obj(obj["tolerances"])
         )
         for e in obj["entries"]:
             cc = CharacterCode(
-                e["glyph"], Position(e["position"]), subword_from_obj(e["code"])
+                e["glyph"], Position(e["position"]), _code_from_obj(e["code"])
             )
             book.entries[(cc.glyph, cc.position.value)] = cc
-        book.fingerprint = [subword_from_obj(c) for c in obj["fingerprint"]]
+        book.fingerprint = [_code_from_obj(c) for c in obj["fingerprint"]]
         book.flagged = [tuple(f) for f in obj.get("flagged", [])]
         book.skipped = int(obj.get("skipped", 0))
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, CodebookFormatError):
-            raise
         raise CodebookFormatError(f"malformed codebook: {exc}") from exc
     return book

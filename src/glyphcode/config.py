@@ -6,12 +6,13 @@ recognized keys, one per tolerance:
     delta_d, l_min, e_res, dot_max          encoder
     delta_l, delta_alpha, delta_a, delta_b,
     delta_phi, delta_beta, delta_gamma,
-    delta_pt                                matching
+    delta_pt (accepted, unused)             matching
     threshold                               binarization
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .encoder import EncoderConfig
@@ -27,13 +28,8 @@ class EngineConfig:
     threshold: int = 128
 
 
-_ENCODER_KEYS = {
-    "delta_d": ("dd", float),
-    "l_min": ("l_min", float),
-    "e_res": ("e_res", float),
-    "dot_max": ("dot_max", int),
-}
-_TOL_KEYS = {
+# config-file (and codebook-file) key -> MatchTolerances field
+TOLERANCE_KEYS = {
     "delta_l": "dl",
     "delta_alpha": "dalpha",
     "delta_a": "da",
@@ -42,6 +38,14 @@ _TOL_KEYS = {
     "delta_beta": "dbeta",
     "delta_gamma": "dgamma",
     "delta_pt": "dpt",
+}
+# key -> (EngineConfig section, field, type); all must be finite and > 0
+_POSITIVE_KEYS = {
+    "delta_d": ("encoder", "dd", float),
+    "l_min": ("encoder", "l_min", float),
+    "e_res": ("encoder", "e_res", float),
+    "dot_max": ("encoder", "dot_max", int),
+    **{key: ("tolerances", attr, float) for key, attr in TOLERANCE_KEYS.items()},
 }
 
 
@@ -54,19 +58,13 @@ def parse_config(text: str) -> EngineConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in _ENCODER_KEYS:
-            attr, conv = _ENCODER_KEYS[key]
+        if key in _POSITIVE_KEYS:
+            section, attr, conv = _POSITIVE_KEYS[key]
             val = conv(value)
-            if val <= 0:
-                raise ValueError(f"line {lineno}: {key} must be positive")
-            cfg = replace(cfg, encoder=replace(cfg.encoder, **{attr: val}))
-        elif key in _TOL_KEYS:
-            val = float(value)
-            if val <= 0:
-                raise ValueError(f"line {lineno}: {key} must be positive")
-            cfg = replace(
-                cfg, tolerances=replace(cfg.tolerances, **{_TOL_KEYS[key]: val})
-            )
+            if not 0 < val < math.inf:
+                raise ValueError(f"line {lineno}: {key} must be finite and positive")
+            part = replace(getattr(cfg, section), **{attr: val})
+            cfg = replace(cfg, **{section: part})
         elif key == "threshold":
             val = int(value)
             if not 0 <= val <= 255:

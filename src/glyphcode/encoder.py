@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 from . import geomfit
 from .geomfit import (
@@ -496,14 +496,16 @@ def encode_word(image: BinaryRaster, cfg: EncoderConfig | None = None) -> WordCo
 # ---------------------------------------------------------------------------
 # scaling (used for size normalization when building codebooks)
 
+# the length-like fields of each primitive kind
+_SCALED = {
+    PointCode: ("x", "y"),
+    LineSegmentCode: ("p", "l"),
+    EllipseArcCode: ("x0", "y0", "a", "b"),
+}
+
+
 def _scale_primitive(code, f: float):
-    if isinstance(code, PointCode):
-        return PointCode(code.x * f, code.y * f)
-    if isinstance(code, LineSegmentCode):
-        return LineSegmentCode(code.p * f, code.alpha, code.l * f)
-    return replace(
-        code, x0=code.x0 * f, y0=code.y0 * f, a=code.a * f, b=code.b * f
-    )
+    return replace(code, **{k: getattr(code, k) * f for k in _SCALED[type(code)]})
 
 
 def scale_subword(code: SubWordCode, f: float) -> SubWordCode:
@@ -532,28 +534,28 @@ def scale_word(word: WordCode, f: float) -> WordCode:
 # JSON forms: lines [p, alpha, l], arcs [x0, y0, a, b, phi, beta, gamma],
 # points [x, y]; elements {"code": ..., "dirs": [F1, F2, F3]}
 
-def _primitive_to_obj(code):
-    if isinstance(code, PointCode):
-        return [code.x, code.y]
-    if isinstance(code, LineSegmentCode):
-        return [code.p, code.alpha, code.l]
-    return [code.x0, code.y0, code.a, code.b, code.phi, code.beta, code.gamma]
+_KIND_BY_ARITY = {
+    len(fields(k)): k for k in (PointCode, LineSegmentCode, EllipseArcCode)
+}
 
 
 def _primitive_from_obj(obj):
     vals = [float(v) for v in obj]
-    if len(vals) == 2:
-        return PointCode(*vals)
-    if len(vals) == 3:
-        return LineSegmentCode(*vals)
-    if len(vals) == 7:
-        return EllipseArcCode(*vals)
-    raise ValueError(f"primitive arity {len(vals)} not recognized")
+    if len(vals) not in _KIND_BY_ARITY:
+        raise ValueError(f"primitive arity {len(vals)} not recognized")
+    return _KIND_BY_ARITY[len(vals)](*vals)
+
+
+def _dirs_from_obj(obj) -> tuple[int, int, int]:
+    dirs = tuple(int(d) for d in obj)
+    if len(dirs) != 3 or not all(0 <= d <= 7 or d == FREEMAN_NULL for d in dirs):
+        raise ValueError(f"Freeman directions must be three of 0-7 or 9, got {obj!r}")
+    return dirs
 
 
 def subword_to_obj(code: SubWordCode):
     return [
-        {"code": _primitive_to_obj(el.code), "dirs": list(el.dirs)}
+        {"code": list(astuple(el.code)), "dirs": list(el.dirs)}
         for el in code.elements
     ]
 
@@ -563,7 +565,7 @@ def subword_from_obj(obj) -> SubWordCode:
         tuple(
             CodedElement(
                 _primitive_from_obj(el["code"]),
-                tuple(int(d) for d in el["dirs"]),
+                _dirs_from_obj(el["dirs"]),
             )
             for el in obj
         )
@@ -584,7 +586,7 @@ def word_from_json(text: str) -> WordCode:
         tuple(
             WordEntry(
                 subword_from_obj(e["elements"]),
-                tuple(int(d) for d in e["dirs"]),
+                _dirs_from_obj(e["dirs"]),
             )
             for e in obj
         )

@@ -159,25 +159,25 @@ def point_subset(i: PointCode, j: PointCode, t: MatchTolerances) -> bool:
     return True
 
 
+_EQUIV = {
+    LineSegmentCode: line_equiv,
+    EllipseArcCode: arc_equiv,
+    PointCode: point_equiv,
+}
+_SUBSET = {
+    LineSegmentCode: line_subset,
+    EllipseArcCode: arc_subset,
+    PointCode: point_subset,
+}
+
+
 def primitive_equiv(i, j, t: MatchTolerances) -> bool:
     """Kind-respecting equivalence; cross-kind comparisons are false."""
-    if isinstance(i, LineSegmentCode) and isinstance(j, LineSegmentCode):
-        return line_equiv(i, j, t)
-    if isinstance(i, EllipseArcCode) and isinstance(j, EllipseArcCode):
-        return arc_equiv(i, j, t)
-    if isinstance(i, PointCode) and isinstance(j, PointCode):
-        return point_equiv(i, j, t)
-    return False
+    return type(i) is type(j) and _EQUIV[type(i)](i, j, t)
 
 
 def primitive_subset(i, j, t: MatchTolerances) -> bool:
-    if isinstance(i, LineSegmentCode) and isinstance(j, LineSegmentCode):
-        return line_subset(i, j, t)
-    if isinstance(i, EllipseArcCode) and isinstance(j, EllipseArcCode):
-        return arc_subset(i, j, t)
-    if isinstance(i, PointCode) and isinstance(j, PointCode):
-        return point_subset(i, j, t)
-    return False
+    return type(i) is type(j) and _SUBSET[type(i)](i, j, t)
 
 
 def freeman_sum(dirs) -> int:

@@ -1,11 +1,27 @@
 """CLI surface: subcommands, exit codes, config parsing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from glyphcode import BinaryRaster, EngineConfig, parse_config, read_netpbm
+import glyphcode
+from glyphcode import (
+    BinaryRaster,
+    CharacterCode,
+    Codebook,
+    EngineConfig,
+    MatchTolerances,
+    Position,
+    SubWordCode,
+    parse_config,
+    read_netpbm,
+    save_codebook,
+)
 from glyphcode.cli import EXIT_CODEBOOK, EXIT_CORPUS, EXIT_OK, EXIT_PARSE, main
 from glyphcode.raster import write_pbm
 from glyphcode.render import DEMO_GLYPHS, render_glyph
@@ -62,6 +78,14 @@ def test_parse_config_rejects_bad_input():
         parse_config("just a line\n")
     with pytest.raises(ValueError):
         parse_config("threshold = 300\n")
+    with pytest.raises(ValueError):
+        parse_config("delta_d = nan\n")
+    with pytest.raises(ValueError):
+        parse_config("delta_l = nan\n")
+    with pytest.raises(ValueError):
+        parse_config("e_res = inf\n")
+    with pytest.raises(ValueError):
+        parse_config("delta_alpha = inf\n")
 
 
 # ---------------------------------------------------------------------------
@@ -262,3 +286,34 @@ def test_cli_deterministic(glyph_pbm, tuned_config, capsys):
     first = capsys.readouterr().out
     main(["encode", str(glyph_pbm), "--config", str(tuned_config)])
     assert capsys.readouterr().out == first
+
+
+def test_recognize_empty_code_book_exits_4(tmp_path, glyph_pbm):
+    """A book entry with an empty code once made recognize loop forever."""
+    book = tmp_path / "empty_code.json"
+    entry = CharacterCode("vee", Position.ISOLATED, SubWordCode(()))
+    save_codebook(
+        Codebook("x", MatchTolerances(), {("vee", "isolated"): entry}), book
+    )
+    src = str(Path(glyphcode.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "glyphcode.cli", "recognize", str(glyph_pbm), str(book)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_CODEBOOK, proc.stderr
+    assert "error:" in proc.stderr
+
+
+def test_nonpositive_size_exits_2(tmp_path, glyph_pbm, capsys):
+    book = tmp_path / "book.json"
+    save_codebook(Codebook("x", MatchTolerances()), book)
+    for size in ("0", "-60"):
+        for command in ("recognize", "identify-font"):
+            rc = main([command, str(glyph_pbm), str(book), "--size", size])
+            assert rc == EXIT_PARSE, (command, size)
+            assert "--size" in capsys.readouterr().err

@@ -3,6 +3,7 @@ recognition, persistence."""
 
 import itertools
 import os
+import threading
 
 import pytest
 
@@ -346,3 +347,64 @@ def test_load_wrong_version(tmp_path):
     path.write_text('{"schema_version": 9}')
     with pytest.raises(CodebookFormatError):
         load_codebook(path)
+
+
+def _saved_book(tmp_path, tolerances=TOL, entry=None, fingerprint=()):
+    """A one-entry codebook file, with the entry's code replaceable."""
+    code = _seq(LineSegmentCode(0.1, 90, 0.8)) if entry is None else entry
+    book = Codebook(
+        "tiny",
+        tolerances,
+        {("vline", "isolated"): CharacterCode("vline", Position.ISOLATED, code)},
+        list(fingerprint),
+    )
+    path = tmp_path / "tiny.json"
+    save_codebook(book, path)
+    return path
+
+
+def test_load_rejects_empty_codes(tmp_path):
+    with pytest.raises(CodebookFormatError):
+        load_codebook(_saved_book(tmp_path, entry=SubWordCode(())))
+    with pytest.raises(CodebookFormatError):
+        load_codebook(_saved_book(tmp_path, fingerprint=[SubWordCode(())]))
+
+
+def test_load_rejects_wrong_dirs_length(tmp_path):
+    for dirs in ((1,), (1, 2, 3, 4)):
+        path = _saved_book(tmp_path, entry=SubWordCode((_el(PointCode(0, 0), dirs),)))
+        with pytest.raises(CodebookFormatError):
+            load_codebook(path)
+
+
+def test_load_rejects_dirs_out_of_range(tmp_path):
+    ok = SubWordCode((_el(PointCode(0, 0), (0, 7, 9)),))
+    assert load_codebook(_saved_book(tmp_path, entry=ok)).entries
+    for dirs in ((42, -3, 7), (0, 8, 9), (-1, 9, 9)):
+        path = _saved_book(tmp_path, entry=SubWordCode((_el(PointCode(0, 0), dirs),)))
+        with pytest.raises(CodebookFormatError):
+            load_codebook(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_load_rejects_bad_tolerances(tmp_path, bad):
+    path = _saved_book(tmp_path, tolerances=MatchTolerances(dalpha=bad))
+    with pytest.raises(CodebookFormatError):
+        load_codebook(path)
+
+
+def test_recognize_skips_empty_codes(demo_book):
+    """An empty code covers nothing; placing it would repeat forever."""
+    book = Codebook(demo_book.font, demo_book.tolerances, dict(demo_book.entries))
+    book.entries[("blank", "isolated")] = CharacterCode(
+        "blank", Position.ISOLATED, SubWordCode(())
+    )
+    word = scale_word(encode_word(render_glyph("vee", 60), CFG), 1.0 / 60)
+    result = []
+    worker = threading.Thread(
+        target=lambda: result.append(recognize(word, book, TOL)), daemon=True
+    )
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), "recognize did not return"
+    assert result == [recognize(word, demo_book, TOL)]
