@@ -144,10 +144,13 @@ def cmd_build_codebook(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError as exc:
         raise CommandError(EXIT_PARSE, f"bad sizes: {exc}") from exc
-    book = cb.build_codebook(
-        args.corpus, cb.arabic_connectivity(), sizes, cfg.encoder, cfg.tolerances,
-        font=args.font,
-    )
+    try:
+        book = cb.build_codebook(
+            args.corpus, cb.arabic_connectivity(), sizes, cfg.encoder, cfg.tolerances,
+            font=args.font,
+        )
+    except raster.RasterFormatError as exc:
+        raise CommandError(EXIT_CORPUS, f"malformed corpus raster: {exc}") from exc
     if not book.entries and not book.flagged:
         raise CommandError(EXIT_CORPUS, "corpus produced no codebook entries")
     cb.build_fingerprints([book])

@@ -36,7 +36,7 @@ from .matcher import (
     sequence_equiv,
     subset_alignment,
 )
-from .raster import load_image
+from .raster import RasterFormatError, load_image
 
 __all__ = [
     "Position",
@@ -301,7 +301,8 @@ def build_codebook(
 ) -> Codebook:
     """Encode a rendered corpus and isolate per-(glyph, position) codes.
 
-    Missing rasters are skipped (counted); glyphs whose containing specs
+    Missing rasters are skipped (counted), and a malformed one raises
+    RasterFormatError naming its file.  Glyphs whose containing specs
     share no common code are flagged instead of entered.  `table` is
     accepted and unused: the specs come from the corpus directory names.
     """
@@ -323,7 +324,11 @@ def build_codebook(
                 if not os.path.exists(path):
                     book.skipped += 1
                     continue
-                word = encode_word(load_image(path), cfg)
+                try:
+                    image = load_image(path)
+                except RasterFormatError as exc:
+                    raise RasterFormatError(f"{path}: {exc}") from exc
+                word = encode_word(image, cfg)
                 codes.append(_flatten(word))
                 used_sizes.append(size)
             if not codes:

@@ -29,7 +29,7 @@ from .geomfit import (
     sampson_residual,
     segment_extent,
 )
-from .raster import BinaryRaster, Stroke, segment, thin
+from .raster import BinaryRaster, Stroke, pixel_centroid, segment, thin
 
 __all__ = [
     "FREEMAN_NULL",
@@ -214,12 +214,6 @@ def _walk_paths(pixels) -> list[list[tuple[int, int]]]:
     return paths
 
 
-def _pixel_centroid(pixels) -> tuple[float, float]:
-    xs = [p[0] for p in pixels]
-    ys = [p[1] for p in pixels]
-    return sum(xs) / len(xs), sum(ys) / len(ys)
-
-
 def extract_lines(stroke: Stroke, cfg: EncoderConfig):
     """Harvest straight runs from the stroke's skeleton pixels.
 
@@ -250,12 +244,13 @@ def extract_lines(stroke: Stroke, cfg: EncoderConfig):
                 j += 1
             # refitting can drift: trim the tail until every claimed pixel
             # really is within dd of the final line
-            while len(run) > 2:
-                line = fit_line(run)
-                if max(point_line_distance(p, line) for p in run) <= cfg.dd:
-                    break
+            while len(run) > 2 and any(
+                point_line_distance(p, line) > cfg.dd for p in run
+            ):
                 run.pop()
                 j -= 1
+                if len(run) > 2:  # cut to two pixels, the run keeps its 3-pixel fit
+                    line = fit_line(run)
             length, _, _ = segment_extent(run, line)
             if length > cfg.l_min:
                 claimed.append((line, set(run)))
@@ -379,7 +374,8 @@ def cluster_ellipses(residual, cfg: EncoderConfig):
     arcs: list[tuple[EllipseArcCode, frozenset]] = []
     leftovers: list[frozenset] = []
     for comp in _components(residual):
-        comp_arcs: list[list[tuple[int, int]]] = []
+        # accepted runs with their arc codes
+        comp_arcs: list[tuple[list[tuple[int, int]], EllipseArcCode]] = []
         comp_small: list[list[tuple[int, int]]] = []
         for path in _walk_paths(comp):
             i = 0
@@ -405,7 +401,7 @@ def cluster_ellipses(residual, cfg: EncoderConfig):
                         break
                 code = _arc_from_run(run, cfg)
                 if code is not None:
-                    comp_arcs.append(run)
+                    comp_arcs.append((run, code))
                 else:
                     comp_small.append(run)
                 i = j
@@ -416,16 +412,16 @@ def cluster_ellipses(residual, cfg: EncoderConfig):
             merged_any = False
             for ia in range(len(comp_arcs)):
                 for ib in range(ia + 1, len(comp_arcs)):
-                    union = comp_arcs[ia] + comp_arcs[ib]
+                    union = comp_arcs[ia][0] + comp_arcs[ib][0]
                     try:
                         coef = fit_ellipse(union)
                     except (DegenerateInputError, NumericalFitError):
                         continue
                     if (
                         sampson_residual(union, coef) <= cfg.e_res
-                        and _arc_from_run(union, cfg) is not None
+                        and (code := _arc_from_run(union, cfg)) is not None
                     ):
-                        comp_arcs[ia] = union
+                        comp_arcs[ia] = (union, code)
                         del comp_arcs[ib]
                         merged_any = True
                         break
@@ -434,19 +430,17 @@ def cluster_ellipses(residual, cfg: EncoderConfig):
         # merge undersized runs into the nearest accepted run in the component
         for small in comp_small:
             if comp_arcs:
-                sc = _pixel_centroid(small)
+                sc = pixel_centroid(small)
                 nearest = min(
                     range(len(comp_arcs)),
-                    key=lambda k: math.dist(sc, _pixel_centroid(comp_arcs[k])),
+                    key=lambda k: math.dist(sc, pixel_centroid(comp_arcs[k][0])),
                 )
-                merged = comp_arcs[nearest] + small
-                if _arc_from_run(merged, cfg) is not None:
-                    comp_arcs[nearest] = merged
+                merged = comp_arcs[nearest][0] + small
+                if (code := _arc_from_run(merged, cfg)) is not None:
+                    comp_arcs[nearest] = (merged, code)
                     continue
             leftovers.append(frozenset(small))
-        for run in comp_arcs:
-            code = _arc_from_run(run, cfg)
-            arcs.append((code, frozenset(run)))
+        arcs.extend((code, frozenset(run)) for run, code in comp_arcs)
     return arcs, leftovers
 
 
@@ -461,11 +455,11 @@ def encode_stroke(stroke: Stroke, cfg: EncoderConfig) -> SubWordCode:
     arcs, leftovers = cluster_ellipses(residual, cfg)
     primitives: list[tuple] = []
     for code, pixels in segments:
-        primitives.append((code, _pixel_centroid(pixels)))
+        primitives.append((code, pixel_centroid(pixels)))
     for code, pixels in arcs:
-        primitives.append((code, _pixel_centroid(pixels)))
+        primitives.append((code, pixel_centroid(pixels)))
     for group in leftovers:
-        cx, cy = _pixel_centroid(group)
+        cx, cy = pixel_centroid(group)
         primitives.append((PointCode(cx, cy), (cx, cy)))
     # same ordering rule as strokes: left-to-right, top-to-bottom
     primitives.sort(key=lambda pr: (pr[1][0], pr[1][1]))

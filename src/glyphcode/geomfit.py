@@ -108,31 +108,31 @@ def line_residual(pixels, line: PolarLine) -> float:
 def fit_line(pixels) -> PolarLine:
     """Orthogonal least-squares line through the pixels, in polar form.
 
-    The closed-form normal-angle equation is two-valued (period 90 deg);
-    the branch and the sign of p are resolved by explicit residual
-    comparison, keeping p >= 0.
+    With centred sums Sxx, Syy and Sxy, the squared residual at normal
+    angle a is R(a) = C + A cos 2a + B sin 2a, where A = (Sxx - Syy) / 2
+    and B = Sxy.  So a0 = atan2(-2 Sxy, Syy - Sxx) / 2 is its minimum and
+    a0 + 90 deg its maximum.  a0 and a0 + 180 deg are the same line with
+    opposite signs of p: the one with p >= 0 is returned, the smaller
+    alpha when both qualify (a line through the origin), and p = 0 with
+    the smaller alpha when rounding leaves both slightly negative.
     """
     pts = _as_points(pixels)
-    if len(np.unique(pts, axis=0)) < 2:
+    if not (pts != pts[0]).any():
         raise DegenerateInputError("need at least 2 distinct pixels")
     x, y = pts[:, 0], pts[:, 1]
     xm, ym = x.mean(), y.mean()
     num = -2.0 * np.sum((ym - y) * (xm - x))
     den = np.sum((ym - y) ** 2 - (xm - x) ** 2)
     alpha0 = 0.5 * math.atan2(num, den)
-    best = None
-    for k in range(4):
-        a = alpha0 + k * math.pi / 2.0
-        p = xm * math.cos(a) + ym * math.sin(a)
-        if p < 0:
-            continue  # the k+2 branch carries the same line with p >= 0
-        cand = PolarLine(float(p), math.degrees(a) % 360.0)
-        res = line_residual(pts, cand)
-        if best is None or res < best[0] - 1e-12 or (
-            abs(res - best[0]) <= 1e-12 and cand.alpha < best[1].alpha
-        ):
-            best = (res, cand)
-    return best[1]
+    # the second modulo folds the 360.0 that a tiny negative angle rounds to
+    normals = sorted(
+        (math.degrees(a) % 360.0 % 360.0, float(xm * math.cos(a) + ym * math.sin(a)))
+        for a in (alpha0, alpha0 + math.pi)
+    )
+    for alpha, p in normals:
+        if p >= 0:
+            return PolarLine(p, alpha)
+    return PolarLine(0.0, normals[0][0])
 
 
 def point_line_distance(pt, line: PolarLine) -> float:
@@ -248,18 +248,18 @@ def fit_ellipse(pixels) -> EllipseCoefficients:
     return EllipseCoefficients(*[float(v) for v in coef])
 
 
-def algebraic_residual(pixels, coef: EllipseCoefficients) -> float:
-    """Mean squared algebraic distance F(x, y)^2 over the pixels."""
+def _conic_at(pixels, coef: EllipseCoefficients):
+    """The pixel coordinates x, y and the conic's value F(x, y) at each."""
     pts = _as_points(pixels)
     x, y = pts[:, 0], pts[:, 1]
-    f = (
-        coef.a * x * x
-        + coef.b * x * y
-        + coef.c * y * y
-        + coef.d * x
-        + coef.e * y
-        + coef.f
-    )
+    f = coef.a * x * x + coef.b * x * y + coef.c * y * y
+    f = f + coef.d * x + coef.e * y + coef.f
+    return x, y, f
+
+
+def algebraic_residual(pixels, coef: EllipseCoefficients) -> float:
+    """Mean squared algebraic distance F(x, y)^2 over the pixels."""
+    _, _, f = _conic_at(pixels, coef)
     return float(np.mean(f * f))
 
 
@@ -269,16 +269,7 @@ def sampson_residual(pixels, coef: EllipseCoefficients) -> float:
     F / |grad F| approximates the geometric point-to-curve distance and is
     scale-invariant, unlike the raw algebraic distance.
     """
-    pts = _as_points(pixels)
-    x, y = pts[:, 0], pts[:, 1]
-    f = (
-        coef.a * x * x
-        + coef.b * x * y
-        + coef.c * y * y
-        + coef.d * x
-        + coef.e * y
-        + coef.f
-    )
+    x, y, f = _conic_at(pixels, coef)
     gx = 2.0 * coef.a * x + coef.b * y + coef.d
     gy = 2.0 * coef.c * y + coef.b * x + coef.e
     g2 = gx * gx + gy * gy
@@ -292,14 +283,7 @@ def conic_to_geometric(coef: EllipseCoefficients):
     a >= b > 0 and phi in [0, 180) degrees; phi is the anticlockwise
     rotation from the x-axis to the major axis.
     """
-    a, b, c, d, e, f = (
-        coef.a,
-        coef.b,
-        coef.c,
-        coef.d,
-        coef.e,
-        coef.f,
-    )
+    a, b, c, d, e, f = coef.a, coef.b, coef.c, coef.d, coef.e, coef.f
     if a + c < 0:  # scale-invariant form: accept either overall sign
         a, b, c, d, e, f = -a, -b, -c, -d, -e, -f
     disc = b * b - 4.0 * a * c

@@ -242,7 +242,10 @@ def subset_alignment(cseq, dseq, t: MatchTolerances, anchor: int | None = None):
     Positions r_1 < r_2 < ... < r_n are searched exhaustively: c_1 must be
     an element subset of d[r_1] (r_1 = `anchor` when given), and each
     later c_i must be an element subset of d[r_i] or match d[r_i] through
-    the direction sum over d[r_{i-1}+1 .. r_i].
+    the direction sum over d[r_{i-1}+1 .. r_i].  The search is depth-first
+    over an explicit stack and returns the earliest alignment; `dead`
+    holds the (element index, previous position) states that have no
+    completion.
     """
     n, m = len(cseq), len(dseq)
     if n == 0:
@@ -250,32 +253,30 @@ def subset_alignment(cseq, dseq, t: MatchTolerances, anchor: int | None = None):
     if n > m:
         return None
     dead: set[tuple[int, int]] = set()
-
-    def extend(i: int, prev: int):
-        if i == n:
-            return []
-        if (i, prev) in dead:
-            return None
-        for r in range(prev + 1, m - (n - i) + 1):
-            ok = element_subset(cseq[i], dseq[r], t) or element_match(
-                cseq[i], dseq, prev, r - prev, t
-            )
-            if ok:
-                rest = extend(i + 1, r)
-                if rest is not None:
-                    return [r] + rest
-        dead.add((i, prev))
-        return None
-
-    anchors = [anchor] if anchor is not None else range(m - n + 1)
-    for j in anchors:
-        if j > m - n:
+    for j in [anchor] if anchor is not None else range(m - n + 1):
+        if j > m - n or not element_subset(cseq[0], dseq[j], t):
             continue
-        if not element_subset(cseq[0], dseq[j], t):
-            continue
-        rest = extend(1, j)
-        if rest is not None:
-            return [j] + rest
+        path = [j]  # positions chosen so far, one per aligned element
+        nxt = [j + 1]  # per open state, the next position to try
+        while path:
+            i = len(path)
+            if i == n:
+                return path
+            ci, prev, r, last = cseq[i], path[-1], nxt[-1], m - n + i
+            while r <= last and not (
+                element_subset(ci, dseq[r], t)
+                or element_match(ci, dseq, prev, r - prev, t)
+            ):
+                r += 1
+            if r > last:
+                dead.add((i, prev))
+                path.pop()
+                nxt.pop()
+            else:
+                nxt[-1] = r + 1
+                if (i + 1, r) not in dead:
+                    path.append(r)
+                    nxt.append(r + 1)
     return None
 
 

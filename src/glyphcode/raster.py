@@ -6,6 +6,7 @@ right and y growing down.  Pixels are plain ``(x, y)`` integer tuples.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "thin",
     "segment",
     "centroid",
+    "pixel_centroid",
     "load_image",
     "read_netpbm",
     "write_pbm",
@@ -87,6 +89,12 @@ class BinaryRaster:
         return cls(bits)
 
 
+def pixel_centroid(pixels) -> tuple[float, float]:
+    """Arithmetic mean of (x, y) pixel coordinates."""
+    n = len(pixels)
+    return sum(p[0] for p in pixels) / n, sum(p[1] for p in pixels) / n
+
+
 @dataclass(frozen=True)
 class Stroke:
     """One 8-connected set of skeleton pixels (a sub-word or dot)."""
@@ -100,11 +108,7 @@ class Stroke:
         # canonical row-major order keeps downstream encoding deterministic
         ordered = tuple(sorted(self.pixels, key=lambda p: (p[1], p[0])))
         object.__setattr__(self, "pixels", ordered)
-        xs = [p[0] for p in ordered]
-        ys = [p[1] for p in ordered]
-        object.__setattr__(
-            self, "centroid", (sum(xs) / len(xs), sum(ys) / len(ys))
-        )
+        object.__setattr__(self, "centroid", pixel_centroid(ordered))
 
     def __len__(self) -> int:
         return len(self.pixels)
@@ -259,8 +263,10 @@ def read_netpbm(path) -> GrayRaster | BinaryRaster:
         if w < 1 or h < 1:
             raise RasterFormatError("width and height must be positive")
         if magic == b"P1":
-            body = b"".join(data[pos:].split())
-            body = body.replace(b"#", b"")  # no comments expected past header
+            # comments run to the end of the line, as in the header
+            body = b"".join(re.sub(rb"#[^\n]*", b"", data[pos:]).split())
+            if body.translate(None, b"01"):
+                raise RasterFormatError("P1 pixel data must be 0s and 1s")
             if len(body) < w * h:
                 raise RasterFormatError("truncated P1 pixel data")
             bits = np.frombuffer(body[: w * h], dtype="S1") == b"1"

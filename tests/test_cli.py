@@ -256,6 +256,17 @@ def test_build_codebook_empty_corpus(tmp_path):
     assert rc == EXIT_CORPUS
 
 
+def test_build_codebook_malformed_raster_exits_3(tmp_path, capsys):
+    spec = tmp_path / "corpus" / "isolated" / "vee"
+    spec.mkdir(parents=True)
+    (spec / "50.pbm").write_text("P1\n3 3\n0 1 x\n")
+    rc = main(
+        ["build-codebook", str(tmp_path / "corpus"), "-o", str(tmp_path / "b.json")]
+    )
+    assert rc == EXIT_CORPUS
+    assert "50.pbm" in capsys.readouterr().err
+
+
 def test_recognize_corrupt_codebook(tmp_path, glyph_pbm):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -80,6 +80,29 @@ def test_fit_line_permutation_invariant(rng):
         assert again.alpha == pytest.approx(base.alpha)
 
 
+def test_fit_line_through_origin_float_points():
+    """Rounding leaves both minimising normals with p just below 0; the fit
+    must still be the best line, not the perpendicular worst one."""
+    pts = [
+        (0.7404470449980277, -4.82898715431201),
+        (0.12850928757373167, -0.8381013917139629),
+        (-0.1211972440597361, 0.7904143026244937),
+    ]
+    line = fit_line(pts)
+    assert orthogonal_sse(pts, line.p, line.alpha) <= 1e-9
+    assert line.p >= 0
+    assert 0 <= line.alpha < 360
+
+
+def test_fit_line_alpha_below_360():
+    """A normal angle a hair below 0 comes back as alpha 0, not 360."""
+    pts = [(0, 3), (1, 3), (0, 2), (1, 1), (0, 0), (0, 1)]  # the order matters
+    pts += [(1, 2), (2, 3), (2, 2), (2, 1), (2, 0)]
+    line = fit_line(pts)
+    assert 0 <= line.alpha < 360
+    assert orthogonal_sse(pts, line.p, line.alpha) <= grid_line_oracle(pts)[2] + 1e-6
+
+
 # ---------------------------------------------------------------------------
 # point_line_distance / segment_extent
 

@@ -27,7 +27,7 @@ from glyphcode import (
     sequence_subset,
 )
 from glyphcode.encoder import WordEntry
-from glyphcode.matcher import primitive_equiv, primitive_subset
+from glyphcode.matcher import primitive_equiv, primitive_subset, subset_alignment
 from conftest import alignment_oracle, random_element, random_primitive, random_sequence
 
 T = MatchTolerances()
@@ -196,6 +196,12 @@ def test_sequence_subset_oracle_agreement(rng):
         c = random_sequence(rng, 4)
         d = random_sequence(rng, 5)
         assert sequence_subset(c, d, T) == alignment_oracle(c, d, T)
+
+
+def test_subset_alignment_long_code():
+    """Codes longer than the recursion limit still align."""
+    s = seq(*[el() for _ in range(1300)])
+    assert subset_alignment(s, s, T) == list(range(1300))
 
 
 def test_relations_reflexive(rng):

@@ -187,6 +187,13 @@ def test_p1_with_comment(tmp_path):
     assert (img.bits == np.array([[1, 0, 1], [0, 1, 0]], dtype=bool)).all()
 
 
+def test_p1_comment_in_pixel_data(tmp_path):
+    path = tmp_path / "img.pbm"
+    path.write_text("P1\n3 2\n1 0 1\n# note 1 1\n0 1 0\n")
+    img = read_netpbm(path)
+    assert (img.bits == np.array([[1, 0, 1], [0, 1, 0]], dtype=bool)).all()
+
+
 def test_p2_and_p5(tmp_path):
     p2 = tmp_path / "img.p2.pgm"
     p2.write_text("P2\n2 2\n255\n0 64\n128 255\n")
@@ -213,6 +220,7 @@ def test_load_image_binarizes_pgm(tmp_path):
         b"P7\n2 2\n",  # unsupported magic
         b"P1\n0 2\n",  # zero width
         b"P1\n2 2\n1 0 1",  # truncated pixels
+        b"P1\n3 1\n1 0 x\n",  # a pixel that is neither 0 nor 1
         b"P5\n2 2\n70000\nxxxx",  # bad maxval
     ],
 )
