@@ -17,7 +17,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import ndimage
 
 from glyphcode import (
     EncoderConfig,
@@ -28,7 +30,7 @@ from glyphcode import (
     scale_word,
 )
 from glyphcode.encoder import subword_to_obj, word_to_json
-from glyphcode.raster import write_pbm
+from glyphcode.raster import BinaryRaster, write_pbm
 from glyphcode.render import DEMO_GLYPHS, render_glyph, render_word_image
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -41,6 +43,9 @@ TOL = MatchTolerances(
 GLYPH_SIZES = (50, 60)
 BOOK_SIZES = (50, 75, 100)
 PROBE_SIZE = 60
+# thick ink: the WORDS at 120 px, dilated by 1-3 px so thinning has work
+THICK_SIZE = 120
+THICK_MARGIN = 6
 
 # The first twelve words criterion 7 draws (random.Random(7)), plus two
 # that bring in `seven` and `jay`.
@@ -89,11 +94,25 @@ def glyph_encodings():
     }
 
 
-def word_results(book):
+def probe_word_image(index, names):
+    return render_word_image(names, PROBE_SIZE)
+
+
+def thick_word_image(index, names):
+    """The word at THICK_SIZE, dilated by 1 + (index mod 3) px."""
+    img = render_word_image(names, THICK_SIZE, margin=THICK_MARGIN)
+    grown = ndimage.binary_dilation(
+        img.bits, structure=np.ones((3, 3), bool), iterations=1 + index % 3
+    )
+    return BinaryRaster(grown)
+
+
+def word_results(book, image=probe_word_image, size=PROBE_SIZE):
+    """Encoding and recognition of each of WORDS, drawn by `image`."""
     out = []
-    for names in WORDS:
-        word = encode_word(render_word_image(names, PROBE_SIZE), CFG)
-        placed = recognize(scale_word(word, 1.0 / PROBE_SIZE), book, TOL)
+    for i, names in enumerate(WORDS):
+        word = encode_word(image(i, names), CFG)
+        placed = recognize(scale_word(word, 1.0 / size), book, TOL)
         out.append(
             {
                 "glyphs": list(names),
@@ -173,6 +192,11 @@ def test_golden_words_and_recognition(book):
     assert_same(_normal(word_results(book)), _golden("words.json"))
 
 
+def test_golden_thick_words_and_recognition(book):
+    got = word_results(book, thick_word_image, THICK_SIZE)
+    assert_same(_normal(got), _golden("thick.json"))
+
+
 def test_golden_demo_book(book):
     assert_same(_normal(book_contents(book)), _golden("demo_book.json"))
 
@@ -197,6 +221,7 @@ def write_golden():
     files = {
         "glyphs.json": glyph_encodings(),
         "words.json": word_results(book),
+        "thick.json": word_results(book, thick_word_image, THICK_SIZE),
         "demo_book.json": book_contents(book),
         "multispec_book.json": book_contents(multi),
     }
