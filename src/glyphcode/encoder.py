@@ -13,14 +13,12 @@ import json
 import math
 from dataclasses import astuple, dataclass, fields, replace
 
-from . import geomfit
 from .geomfit import (
     DegenerateInputError,
     EllipseArcCode,
     LineSegmentCode,
     NonEllipseError,
     NumericalFitError,
-    PolarLine,
     arc_angles,
     conic_to_geometric,
     fit_ellipse,
@@ -29,7 +27,8 @@ from .geomfit import (
     sampson_residual,
     segment_extent,
 )
-from .raster import BinaryRaster, Stroke, pixel_centroid, segment, thin
+from .raster import BinaryRaster, Stroke, components, neighbors, pixel_centroid
+from .raster import segment, thin
 
 __all__ = [
     "FREEMAN_NULL",
@@ -164,15 +163,8 @@ def neighbor_directions(anchors) -> list[tuple[int, int, int]]:
 # ---------------------------------------------------------------------------
 # path walking over skeleton pixels
 
-_NBRS = [(-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1)]
-
-
 def _rowmajor(p):
     return (p[1], p[0])
-
-
-def _neighbors(p, pool):
-    return [(p[0] + dx, p[1] + dy) for dx, dy in _NBRS if (p[0] + dx, p[1] + dy) in pool]
 
 
 def _walk_paths(pixels) -> list[list[tuple[int, int]]]:
@@ -185,16 +177,14 @@ def _walk_paths(pixels) -> list[list[tuple[int, int]]]:
     remaining = set(pixels)
     paths = []
     while remaining:
-        endpoints = [p for p in remaining if len(_neighbors(p, remaining)) == 1]
-        start = min(endpoints, key=_rowmajor) if endpoints else min(
-            remaining, key=_rowmajor
-        )
+        endpoints = [p for p in remaining if len(neighbors(p, remaining)) == 1]
+        start = min(endpoints or remaining, key=_rowmajor)
         path = [start]
         remaining.discard(start)
         cur = start
         heading = None
         while True:
-            nbrs = _neighbors(cur, remaining)
+            nbrs = neighbors(cur, remaining)
             if not nbrs:
                 break
             if heading is None:
@@ -285,7 +275,7 @@ def _absorb_stray_pixels(claimed, residual, cfg: EncoderConfig) -> None:
         changed = False
         for p in sorted(residual, key=_rowmajor):
             for k, (line, run) in enumerate(claimed):
-                if not any(n in run for n in _neighbors(p, run)):
+                if not neighbors(p, run):
                     continue
                 line_k, dx, dy, tlo, thi = bounds[k]
                 if point_line_distance(p, line_k) > cfg.dd:
@@ -297,24 +287,6 @@ def _absorb_stray_pixels(claimed, residual, cfg: EncoderConfig) -> None:
                 residual.discard(p)
                 changed = True
                 break
-
-
-def _components(pixels) -> list[set]:
-    remaining = set(pixels)
-    comps = []
-    while remaining:
-        seed = min(remaining, key=_rowmajor)
-        comp = {seed}
-        frontier = [seed]
-        remaining.discard(seed)
-        while frontier:
-            cur = frontier.pop()
-            for nb in _neighbors(cur, remaining):
-                remaining.discard(nb)
-                comp.add(nb)
-                frontier.append(nb)
-        comps.append(comp)
-    return comps
 
 
 def _arc_from_run(run, cfg: EncoderConfig) -> EllipseArcCode | None:
@@ -332,15 +304,12 @@ def _arc_from_run(run, cfg: EncoderConfig) -> EllipseArcCode | None:
     # the arc endpoints are wherever the pixels leave the largest angular
     # gap around the fitted center (robust to arbitrary run ordering)
     x0, y0, _, _, phi = geo
-    by_angle = sorted(
-        set(run),
-        key=lambda p: (math.degrees(math.atan2(p[1] - y0, p[0] - x0)) - phi)
-        % 360.0,
-    )
-    angles = [
-        (math.degrees(math.atan2(p[1] - y0, p[0] - x0)) - phi) % 360.0
-        for p in by_angle
-    ]
+
+    def angle(p):
+        return (math.degrees(math.atan2(p[1] - y0, p[0] - x0)) - phi) % 360.0
+
+    by_angle = sorted(set(run), key=angle)
+    angles = [angle(p) for p in by_angle]
     gaps = [
         ((angles[(k + 1) % len(angles)] - angles[k]) % 360.0, k)
         for k in range(len(angles))
@@ -373,7 +342,7 @@ def cluster_ellipses(residual, cfg: EncoderConfig):
     """
     arcs: list[tuple[EllipseArcCode, frozenset]] = []
     leftovers: list[frozenset] = []
-    for comp in _components(residual):
+    for comp in components(residual):
         # accepted runs with their arc codes
         comp_arcs: list[tuple[list[tuple[int, int]], EllipseArcCode]] = []
         comp_small: list[list[tuple[int, int]]] = []

@@ -193,18 +193,17 @@ def fit_ellipse(pixels) -> EllipseCoefficients:
     so that 4ac - b^2 = 1.
     """
     pts = _as_points(pixels)
-    if len(np.unique(pts, axis=0)) < 5:
+    if len(set(map(tuple, pts.tolist()))) < 5:
         raise DegenerateInputError("need at least 5 distinct pixels")
+    # center the data for conditioning; translate coefficients back at the end
+    mx, my = pts.mean(axis=0)
+    centered = pts - (mx, my)
     # collinearity check via the centered covariance rank
-    centered = pts - pts.mean(axis=0)
     sv = np.linalg.svd(centered, compute_uv=False)
     if sv[1] <= 1e-9 * max(sv[0], 1.0):
         raise DegenerateInputError("pixels are collinear")
 
-    # center the data for conditioning; translate coefficients back at the end
-    mx, my = pts.mean(axis=0)
-    x = pts[:, 0] - mx
-    y = pts[:, 1] - my
+    x, y = centered.T
     d1 = np.column_stack([x * x, x * y, y * y])
     d2 = np.column_stack([x, y, np.ones_like(x)])
     s1 = d1.T @ d1

@@ -112,12 +112,16 @@ def _closed(i: EllipseArcCode, j: EllipseArcCode) -> bool:
     ) % 360.0 >= 349.0
 
 
-def arc_equiv(i: EllipseArcCode, j: EllipseArcCode, t: MatchTolerances) -> bool:
-    if not (
+def _same_axes(i: EllipseArcCode, j: EllipseArcCode, t: MatchTolerances) -> bool:
+    return (
         abs(i.a - j.a) < t.da
         and abs(i.b - j.b) < t.db
         and angdist180(i.phi, j.phi) < t.dphi
-    ):
+    )
+
+
+def arc_equiv(i: EllipseArcCode, j: EllipseArcCode, t: MatchTolerances) -> bool:
+    if not _same_axes(i, j, t):
         return False
     if _closed(i, j):
         return True
@@ -134,11 +138,7 @@ def arc_subset(i: EllipseArcCode, j: EllipseArcCode, t: MatchTolerances) -> bool
     The arc [beta_i -> gamma_i] must lie inside [beta_j -> gamma_j] on the
     circle, with dbeta/dgamma slack at the two ends.
     """
-    if not (
-        abs(i.a - j.a) < t.da
-        and abs(i.b - j.b) < t.db
-        and angdist180(i.phi, j.phi) < t.dphi
-    ):
+    if not _same_axes(i, j, t):
         return False
     if _closed(i, j):
         return True

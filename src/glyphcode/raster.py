@@ -20,15 +20,14 @@ __all__ = [
     "binarize",
     "thin",
     "segment",
+    "components",
+    "neighbors",
     "centroid",
     "pixel_centroid",
     "load_image",
     "read_netpbm",
     "write_pbm",
 ]
-
-# 8-connectivity structuring element used for component labeling
-_EIGHT = np.ones((3, 3), dtype=bool)
 
 
 class RasterFormatError(ValueError):
@@ -121,99 +120,130 @@ def binarize(image: GrayRaster, threshold: int = 128) -> BinaryRaster:
     return BinaryRaster(image.samples < threshold)
 
 
+# The 8 neighbors in the usual Zhang-Suen order p2..p9 (N, NE, E, SE, S,
+# SW, W, NW).  Bit i of a pixel's ring code is set when _RING[i] is ink.
 _RING = [(0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1)]
 
 
-def _prune_redundant(img: np.ndarray) -> np.ndarray:
+def _transitions(code: int) -> int:
+    """Zhang-Suen's A: OFF-to-ON steps once around the ring."""
+    return sum(1 for i in range(8) if not code >> i & 1 and code >> (i + 1) % 8 & 1)
+
+
+def _redundant(code: int) -> bool:
+    """At least two ON neighbors, mutually 8-connected without the center.
+
+    Ring neighbors touch, and so do two ON edge neighbors around the
+    corner between them (N and E across NE, and so on).  With each such
+    OFF corner filled, the ON neighbors are connected iff A <= 1.
+    """
+    filled = code
+    for corner in (1, 3, 5, 7):
+        if code >> (corner - 1) & 1 and code >> (corner + 1) % 8 & 1:
+            filled |= 1 << corner
+    return code.bit_count() >= 2 and _transitions(filled) <= 1
+
+
+def _deletable(code: int, products) -> bool:
+    """Zhang-Suen's rule: 2 <= B <= 6, A = 1, and both of the step's
+    products of edge neighbors are zero (bits 0, 2, 4, 6 are N, E, S, W)."""
+    return (
+        2 <= code.bit_count() <= 6
+        and _transitions(code) == 1
+        and all(code & mask != mask for mask in products)
+    )
+
+
+# the products are N.E.S and E.S.W in step 0, N.E.W and N.S.W in step 1
+_ZHANG_SUEN = [
+    np.array([_deletable(c, products) for c in range(256)])
+    for products in ((0b0010101, 0b1010100), (0b1000101, 0b1010001))
+]
+_REDUNDANT = [_redundant(c) for c in range(256)]
+
+
+def neighbors(pixel, pool) -> list[tuple[int, int]]:
+    """The 8-neighbors of `pixel` that are in `pool`, in ring order."""
+    x, y = pixel
+    return [(x + dx, y + dy) for dx, dy in _RING if (x + dx, y + dy) in pool]
+
+
+def _prune_redundant(ink: list[int], offsets: list[int]) -> list[int]:
     """Delete staircase pixels the parallel passes cannot remove.
 
     Zhang-Suen leaves two-pixel bumps on near-diagonal strokes.  A pixel
-    is redundant when its ON neighbors remain mutually 8-connected
-    without it; removing redundant non-endpoint pixels (sequentially, in
-    row-major order) yields single-pixel chains and cannot change
-    connectivity or drop endpoints.
+    is redundant when `_REDUNDANT` marks its ring code: its ON neighbors
+    stay mutually 8-connected without it.  Deleting redundant pixels one
+    at a time, in row-major passes over `ink` (flat indices; `offsets`
+    lead to the ring) until none is left, yields single-pixel chains and
+    cannot change connectivity or drop endpoints.
     """
-    h, w = img.shape
-    on = {(int(x), int(y)) for y, x in zip(*np.nonzero(img))}
+    on = set(ink)
     changed = True
     while changed:
         changed = False
-        for px, py in sorted(on, key=lambda p: (p[1], p[0])):
-            nbrs = [
-                (px + dx, py + dy) for dx, dy in _RING if (px + dx, py + dy) in on
-            ]
-            if len(nbrs) < 2:
-                continue
-            # neighbors connected among themselves (pixel itself excluded)?
-            comp = {nbrs[0]}
-            frontier = [nbrs[0]]
-            rest = set(nbrs[1:])
-            while frontier and rest:
-                cx, cy = frontier.pop()
-                near = {
-                    q for q in rest if abs(q[0] - cx) <= 1 and abs(q[1] - cy) <= 1
-                }
-                rest -= near
-                comp |= near
-                frontier.extend(near)
-            if not rest:
-                on.discard((px, py))
+        for i in ink:
+            code = sum(1 << bit for bit, off in enumerate(offsets) if i + off in on)
+            if _REDUNDANT[code]:
+                on.discard(i)
                 changed = True
-    out = np.zeros_like(img)
-    for x, y in on:
-        out[y, x] = 1
-    return out
+        ink = [i for i in ink if i in on]
+    return ink
 
 
 def thin(image: BinaryRaster) -> BinaryRaster:
     """Zhang-Suen two-subiteration thinning, iterated to fixpoint.
 
-    Out-of-raster neighbors count as background.  The result's foreground
-    is always a subset of the input foreground.  A sequential pruning
-    pass removes the staircase doubling the parallel iterations leave on
-    near-diagonal strokes.
+    Out-of-raster neighbors count as background.  Each subiteration
+    deletes, in parallel, the ink pixels whose 8-bit ring code its table
+    in `_ZHANG_SUEN` marks, so the result is a subset of the input
+    foreground; `_prune_redundant` then removes the staircase doubling
+    left on near-diagonal strokes.
     """
-    img = image.bits.astype(np.uint8)
-    while True:
+    padded = np.pad(image.bits, 1).astype(np.uint8)
+    flat = padded.ravel()
+    offsets = [dy * padded.shape[1] + dx for dx, dy in _RING]
+    ink = np.flatnonzero(flat)  # stays in row-major order
+    changed = True
+    while changed:
         changed = False
-        for step in (0, 1):
-            p = np.pad(img, 1)
-            # neighbors in the usual Zhang-Suen order p2..p9 (N, NE, E, ...)
-            p2 = p[0:-2, 1:-1]
-            p3 = p[0:-2, 2:]
-            p4 = p[1:-1, 2:]
-            p5 = p[2:, 2:]
-            p6 = p[2:, 1:-1]
-            p7 = p[2:, 0:-2]
-            p8 = p[1:-1, 0:-2]
-            p9 = p[0:-2, 0:-2]
-            ring = [p2, p3, p4, p5, p6, p7, p8, p9]
-            b = sum(ring)
-            a = sum(
-                ((ring[i] == 0) & (ring[(i + 1) % 8] == 1)).astype(np.uint8)
-                for i in range(8)
-            )
-            cond = (img == 1) & (b >= 2) & (b <= 6) & (a == 1)
-            if step == 0:
-                cond &= (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
-            else:
-                cond &= (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
-            if cond.any():
-                img[cond] = 0
-                changed = True
-        if not changed:
-            break
-    return BinaryRaster(_prune_redundant(img).astype(bool))
+        for table in _ZHANG_SUEN:
+            code = np.zeros(len(ink), dtype=np.uint8)
+            for bit, off in enumerate(offsets):
+                code |= flat[ink + off] << bit
+            hit = table[code]
+            flat[ink[hit]] = 0
+            ink = ink[~hit]
+            changed |= bool(hit.any())
+    flat[ink] = 0
+    flat[_prune_redundant(ink.tolist(), offsets)] = 1
+    return BinaryRaster(padded[1:-1, 1:-1])
+
+
+def components(pixels) -> list[list[tuple[int, int]]]:
+    """Split a pixel set into its 8-connected components.
+
+    Each component lists its pixels in row-major order, and components
+    come in the row-major order of their first pixels, the order in which
+    ndimage numbers its labels.
+    """
+    if not pixels:
+        return []
+    x, y = np.array(list(pixels)).T
+    x0, y0 = x.min(), y.min()
+    bits = np.zeros((y.max() - y0 + 1, x.max() - x0 + 1), dtype=bool)
+    bits[y - y0, x - x0] = True
+    labels, count = ndimage.label(bits, structure=np.ones((3, 3)))
+    out = [[] for _ in range(count)]
+    ys, xs = np.nonzero(labels)
+    for k, x, y in zip(labels[ys, xs].tolist(), (xs + x0).tolist(), (ys + y0).tolist()):
+        out[k - 1].append((x, y))
+    return out
 
 
 def segment(image: BinaryRaster) -> list[Stroke]:
     """Split the foreground into its 8-connected components."""
-    labels, count = ndimage.label(image.bits, structure=_EIGHT)
-    strokes = []
-    for i in range(1, count + 1):
-        ys, xs = np.nonzero(labels == i)
-        strokes.append(Stroke(tuple((int(x), int(y)) for x, y in zip(xs, ys))))
-    return strokes
+    return [Stroke(tuple(c)) for c in components(image.foreground())]
 
 
 def centroid(stroke: Stroke) -> tuple[float, float]:

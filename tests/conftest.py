@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the library's own numerics: the line
 oracle is a brute-force grid search, the thinning oracle is a scalar
-re-implementation of the two-subiteration rules, and the alignment
-oracle enumerates every monotone alignment.
+re-implementation of the two-subiteration rules followed by a
+breadth-first-search staircase prune, and the alignment oracle
+enumerates every monotone alignment.
 """
 
 import itertools
@@ -112,6 +113,38 @@ def reference_zhang_suen(bits):
         if not changed:
             break
     return np.array(grid, dtype=bool)
+
+
+def reference_prune(bits):
+    """Sequential staircase pruning by breadth-first search.
+
+    Row-major passes until nothing changes; a pixel is deleted when it
+    has at least two ON neighbors and they stay mutually 8-connected
+    without it.  Independent of the library's ring-code tables.
+    """
+    on = {(int(x), int(y)) for y, x in zip(*np.nonzero(bits))}
+    ring = [(0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1)]
+    changed = True
+    while changed:
+        changed = False
+        for px, py in sorted(on, key=lambda p: (p[1], p[0])):
+            nbrs = [(px + dx, py + dy) for dx, dy in ring if (px + dx, py + dy) in on]
+            if len(nbrs) < 2:
+                continue
+            frontier = [nbrs[0]]
+            rest = set(nbrs[1:])
+            while frontier and rest:
+                cx, cy = frontier.pop()
+                near = {q for q in rest if abs(q[0] - cx) <= 1 and abs(q[1] - cy) <= 1}
+                rest -= near
+                frontier.extend(near)
+            if not rest:
+                on.discard((px, py))
+                changed = True
+    out = np.zeros(np.shape(bits), dtype=bool)
+    for x, y in on:
+        out[y, x] = True
+    return out
 
 
 def count_components(bits):

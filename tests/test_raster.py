@@ -20,7 +20,13 @@ from glyphcode import (
     thin,
     write_pbm,
 )
-from conftest import count_components, random_blob, reference_zhang_suen
+from glyphcode.raster import components
+from conftest import (
+    count_components,
+    random_blob,
+    reference_prune,
+    reference_zhang_suen,
+)
 
 
 def raster_from_rows(rows):
@@ -112,15 +118,42 @@ def test_thin_result_inside_reference_skeleton_support():
         assert count_components(out) == count_components(ref)
 
 
+def small_grid(seedbits):
+    return np.array(
+        [[(seedbits >> (r * 5 + c)) & 1 == 1 for c in range(5)] for r in range(5)]
+    )
+
+
+def assert_thin_exact(bits):
+    want = reference_prune(reference_zhang_suen(bits))
+    assert (thin(BinaryRaster(bits)).bits == want).all()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2**25 - 1))
 def test_thin_idempotent_small_grids(seedbits):
-    bits = np.array(
-        [[(seedbits >> (r * 5 + c)) & 1 == 1 for c in range(5)] for r in range(5)]
-    )
+    bits = small_grid(seedbits)
     out = thin(BinaryRaster(bits))
     assert (thin(out).bits == out.bits).all()
     assert (out.bits <= bits).all()
+
+
+def test_thin_exact_on_blobs():
+    rng = random.Random(41)
+    for _ in range(20):
+        assert_thin_exact(random_blob(rng).bits)
+
+
+def test_thin_exact_on_all_3x3_patterns():
+    for pattern in range(512):
+        grid = np.array([pattern >> k & 1 for k in range(9)], dtype=bool)
+        assert_thin_exact(np.pad(grid.reshape(3, 3), 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**25 - 1))
+def test_thin_exact_small_grids(seedbits):
+    assert_thin_exact(small_grid(seedbits))
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +187,17 @@ def test_segment_is_partition():
     assert union == set(
         (x, y) for y, x in zip(*np.nonzero(img.bits))
     )
+
+
+def test_components_order_and_offsets():
+    pixels = {(-3, -2), (-2, -1), (5, -2), (0, 4), (1, 4), (-4, 0), (6, -1)}
+    assert components(pixels) == [
+        [(-3, -2), (-2, -1)],
+        [(5, -2), (6, -1)],
+        [(-4, 0)],
+        [(0, 4), (1, 4)],
+    ]
+    assert components(set()) == []
 
 
 def test_centroid_examples():
