@@ -23,6 +23,7 @@ from .geomfit import (
     EllipseArcCode,
     EllipseCoefficients,
     LineSegmentCode,
+    Moments,
     NonEllipseError,
     NumericalFitError,
     PolarLine,

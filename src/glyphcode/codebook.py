@@ -101,51 +101,25 @@ class ConnectivityTable:
         return [g for g, _, l in self.entries if l]
 
 
-# Arabic alphabet plus the elongation stroke; 36 right- and 25
-# left-connective glyphs.
-_ARABIC = [
-    ("KASHEEDA", True, True),
-    ("ALIF_HAMZA_ABOVE", True, False),
-    ("ALIF_HAMZA_BELOW", True, False),
-    ("ALIF", True, False),
-    ("BAA", True, True),
-    ("TAA", True, True),
-    ("THAA", True, True),
-    ("JEEM", True, True),
-    ("HAA", True, True),
-    ("KHAA", True, True),
-    ("DAL", True, False),
-    ("THAL", True, False),
-    ("RAA", True, False),
-    ("ZAY", True, False),
-    ("SEEN", True, True),
-    ("SHEEN", True, True),
-    ("SAAD", True, True),
-    ("DAAD", True, True),
-    ("TAH", True, True),
-    ("ZAH", True, True),
-    ("AIN", True, True),
-    ("GHAIN", True, True),
-    ("FAA", True, True),
-    ("QAF", True, True),
-    ("KAF", True, True),
-    ("LAM", True, True),
-    ("MEEM", True, True),
-    ("NOON", True, True),
-    ("HA", True, True),
-    ("WAW", True, False),
-    ("WAW_HAMZA", True, False),
-    ("ALIF_MAQSURA", True, True),
-    ("YAA", True, True),
-    ("YAA_HAMZA", True, True),
-    ("HAMZA", True, False),
-    ("TAA_MARBUTA", True, False),
-]
+# Arabic alphabet plus the elongation stroke, in table order.  Every glyph
+# joins the preceding character, and all but _JOINS_PRECEDING_ONLY also join
+# the following one: 36 right- and 25 left-connective glyphs.
+_ARABIC = """
+    KASHEEDA ALIF_HAMZA_ABOVE ALIF_HAMZA_BELOW ALIF BAA TAA THAA JEEM HAA KHAA DAL
+    THAL RAA ZAY SEEN SHEEN SAAD DAAD TAH ZAH AIN GHAIN FAA QAF KAF LAM MEEM NOON
+    HA WAW WAW_HAMZA ALIF_MAQSURA YAA YAA_HAMZA HAMZA TAA_MARBUTA
+""".split()
+_JOINS_PRECEDING_ONLY = {
+    "ALIF_HAMZA_ABOVE", "ALIF_HAMZA_BELOW", "ALIF", "DAL", "THAL", "RAA", "ZAY",
+    "WAW", "WAW_HAMZA", "HAMZA", "TAA_MARBUTA",
+}
 
 
 def arabic_connectivity() -> ConnectivityTable:
     """The shipped Arabic connectivity fixture (36 glyphs incl. KASHEEDA)."""
-    return ConnectivityTable(tuple(_ARABIC))
+    return ConnectivityTable(
+        tuple((g, True, g not in _JOINS_PRECEDING_ONLY) for g in _ARABIC)
+    )
 
 
 @dataclass(frozen=True)
@@ -187,27 +161,15 @@ def enumerate_subwords(table: ConnectivityTable, position: Position):
     k = table.connector
     r = table.right_connective
     l = table.left_connective
-    specs: list[SubWordSpec] = []
     if position == Position.ISOLATED:
-        for g in table.glyphs:
-            specs.append(SubWordSpec((g,), position))
+        seqs = [(g,) for g in table.glyphs]
     elif position == Position.BEGINNING:
-        for g in r:
-            specs.append(SubWordSpec((g, k), position))
-        for a in l:
-            for b in r:
-                specs.append(SubWordSpec((a, b, k), position))
+        seqs = [(g, k) for g in r] + [(a, b, k) for a in l for b in r]
     elif position == Position.MIDDLE:
-        for a in l:
-            for b in r:
-                specs.append(SubWordSpec((k, a, b), position))
+        seqs = [(k, a, b) for a in l for b in r]
     else:  # END
-        for g in l:
-            specs.append(SubWordSpec((k, g), position))
-        for a in l:
-            for b in r:
-                specs.append(SubWordSpec((a, k, b), position))
-    return specs
+        seqs = [(k, g) for g in l] + [(a, k, b) for a in l for b in r]
+    return [SubWordSpec(seq, position) for seq in seqs]
 
 
 @dataclass(frozen=True)
@@ -229,10 +191,7 @@ class Codebook:
 
 def _flatten(word: WordCode) -> SubWordCode:
     """Concatenate a word's sub-word elements into one sequence."""
-    elements = []
-    for entry in word.subwords:
-        elements.extend(entry.code.elements)
-    return SubWordCode(tuple(elements))
+    return SubWordCode(tuple(el for e in word.subwords for el in e.code.elements))
 
 
 # the length-like fields averaged over a common window's counterparts

@@ -13,10 +13,14 @@ import json
 import math
 from dataclasses import astuple, dataclass, fields, replace
 
+import numpy as np
+
 from .geomfit import (
     DegenerateInputError,
     EllipseArcCode,
+    EllipseCoefficients,
     LineSegmentCode,
+    Moments,
     NonEllipseError,
     NumericalFitError,
     arc_angles,
@@ -147,17 +151,14 @@ def order_strokes(strokes) -> list[Stroke]:
 
 def neighbor_directions(anchors) -> list[tuple[int, int, int]]:
     """Freeman directions from each anchor to the following three anchors."""
-    out = []
     n = len(anchors)
-    for i in range(n):
-        dirs = []
-        for j in range(1, 4):
-            if i + j < n:
-                dirs.append(freeman_direction(anchors[i], anchors[i + j]))
-            else:
-                dirs.append(FREEMAN_NULL)
-        out.append(tuple(dirs))
-    return out
+    return [
+        tuple(
+            freeman_direction(anchors[i], anchors[i + j]) if i + j < n else FREEMAN_NULL
+            for j in (1, 2, 3)
+        )
+        for i in range(n)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -172,22 +173,36 @@ def _walk_paths(pixels) -> list[list[tuple[int, int]]]:
 
     Each walk starts at a degree-1 pixel when one exists (else the
     row-major first pixel) and prefers continuing in the current travel
-    direction; every pixel is visited exactly once.
+    direction; every pixel is visited exactly once.  Degrees count
+    neighbours not yet taken and are updated as pixels are taken.
     """
     remaining = set(pixels)
+    adjacent = {p: neighbors(p, remaining) for p in remaining}
+    degree = {p: len(nbrs) for p, nbrs in adjacent.items()}
+    ends = {p for p, d in degree.items() if d == 1}
+
+    def take(p):
+        """Take `p`; return its neighbours still remaining, in ring order."""
+        remaining.discard(p)
+        ends.discard(p)
+        nbrs = [q for q in adjacent[p] if q in remaining]
+        for q in nbrs:
+            d = degree[q] = degree[q] - 1
+            if d == 1:
+                ends.add(q)
+            elif d == 0:
+                ends.discard(q)
+        return nbrs
+
     paths = []
     while remaining:
-        endpoints = [p for p in remaining if len(neighbors(p, remaining)) == 1]
-        start = min(endpoints or remaining, key=_rowmajor)
-        path = [start]
-        remaining.discard(start)
-        cur = start
+        cur = min(ends or remaining, key=_rowmajor)
+        path = [cur]
         heading = None
-        while True:
-            nbrs = neighbors(cur, remaining)
-            if not nbrs:
-                break
-            if heading is None:
+        while nbrs := take(cur):
+            if len(nbrs) == 1:
+                nxt = nbrs[0]
+            elif heading is None:
                 nxt = min(nbrs, key=_rowmajor)
             else:
                 def turn(n):
@@ -198,7 +213,6 @@ def _walk_paths(pixels) -> list[list[tuple[int, int]]]:
                 nxt = min(nbrs, key=lambda n: (turn(n), _rowmajor(n)))
             heading = math.atan2(nxt[1] - cur[1], nxt[0] - cur[0])
             path.append(nxt)
-            remaining.discard(nxt)
             cur = nxt
         paths.append(path)
     return paths
@@ -219,28 +233,27 @@ def extract_lines(stroke: Stroke, cfg: EncoderConfig):
     claimed: list[tuple[LineSegmentCode, frozenset]] = []
     residual: set[tuple[int, int]] = set()
     for path in _walk_paths(stroke.pixels):
+        rows = Moments.prefix(path)  # path[i:j] has moments rows[j] - rows[i]
         i = 0
         n = len(path)
         while i < n:
             if n - i < 2:
                 residual.update(path[i:])
                 break
-            run = path[i : i + 2]
-            line = fit_line(run)
             j = i + 2
+            line = fit_line(rows[j] - rows[i])
             while j < n and point_line_distance(path[j], line) <= cfg.dd:
-                run.append(path[j])
-                line = fit_line(run)
                 j += 1
+                line = fit_line(rows[j] - rows[i])
             # refitting can drift: trim the tail until every claimed pixel
             # really is within dd of the final line
-            while len(run) > 2 and any(
-                point_line_distance(p, line) > cfg.dd for p in run
+            while j - i > 2 and any(
+                point_line_distance(p, line) > cfg.dd for p in path[i:j]
             ):
-                run.pop()
                 j -= 1
-                if len(run) > 2:  # cut to two pixels, the run keeps its 3-pixel fit
-                    line = fit_line(run)
+                if j - i > 2:  # cut to two pixels, the run keeps its 3-pixel fit
+                    line = fit_line(rows[j] - rows[i])
+            run = path[i:j]
             length, _, _ = segment_extent(run, line)
             if length > cfg.l_min:
                 claimed.append((line, set(run)))
@@ -250,7 +263,7 @@ def extract_lines(stroke: Stroke, cfg: EncoderConfig):
     _absorb_stray_pixels(claimed, residual, cfg)
     out = []
     for line, run in claimed:
-        line = fit_line(run)
+        line = fit_line(Moments.of(run))
         length, _, _ = segment_extent(run, line)
         out.append((LineSegmentCode(line.p, line.alpha, length), frozenset(run)))
     return out, residual
@@ -289,13 +302,9 @@ def _absorb_stray_pixels(claimed, residual, cfg: EncoderConfig) -> None:
                 break
 
 
-def _arc_from_run(run, cfg: EncoderConfig) -> EllipseArcCode | None:
-    """Fit an ellipse to the ordered run and code its arc, if possible."""
-    if len(run) < 5:
-        return None
-    try:
-        coef = fit_ellipse(run)
-    except (DegenerateInputError, NumericalFitError):
+def _arc_from_run(run, coef: EllipseCoefficients | None) -> EllipseArcCode | None:
+    """Code the arc of the run's fitted ellipse, if it has one."""
+    if coef is None:
         return None
     try:
         geo = conic_to_geometric(coef)
@@ -329,6 +338,19 @@ def _arc_from_run(run, cfg: EncoderConfig) -> EllipseArcCode | None:
     return EllipseArcCode(geo[0], geo[1], geo[2], geo[3], phi, beta, gamma)
 
 
+def _fit_arc(m: Moments) -> EllipseCoefficients | None:
+    """The ellipse fit of the moments, or None when they admit none."""
+    try:
+        return fit_ellipse(m)
+    except (DegenerateInputError, NumericalFitError):
+        return None
+
+
+def _join(a, b):
+    """Two runs (pixels, moments, float pixels) as one."""
+    return a[0] + b[0], a[1] + b[1], np.concatenate((a[2], b[2]))
+
+
 def cluster_ellipses(residual, cfg: EncoderConfig):
     """Group leftover pixels into ellipse-arc runs.
 
@@ -336,39 +358,40 @@ def cluster_ellipses(residual, cfg: EncoderConfig):
     ordered runs grow greedily while the gradient-weighted fit residual
     stays within `e_res`.  Runs too small to host an ellipse are merged
     into an adjacent accepted run when one exists, otherwise returned as
-    leftover groups for the caller to degrade into points.
+    leftover groups for the caller to degrade into points.  A run carries
+    its pixels, their moments about the component's bounding-box corner
+    and their float coordinates, so joining two runs is one addition.
 
     Returns (arcs, leftovers): arcs as (EllipseArcCode, pixel set) pairs.
     """
     arcs: list[tuple[EllipseArcCode, frozenset]] = []
     leftovers: list[frozenset] = []
     for comp in components(residual):
-        # accepted runs with their arc codes
-        comp_arcs: list[tuple[list[tuple[int, int]], EllipseArcCode]] = []
-        comp_small: list[list[tuple[int, int]]] = []
+        origin = (min(x for x, _ in comp), min(y for _, y in comp))
+        comp_arcs: list[tuple[tuple, EllipseArcCode]] = []  # (run, arc code)
+        comp_small: list[tuple] = []
         for path in _walk_paths(comp):
+            rows = Moments.prefix(path, 4, origin)
+            pts = np.array(path, dtype=float)
             i = 0
             n = len(path)
             while i < n:
                 if n - i < 5:
-                    comp_small.append(path[i:])
+                    comp_small.append((path[i:], rows[n] - rows[i], pts[i:]))
                     break
-                run = path[i : i + 5]
                 j = i + 5
+                coef = None  # the fit of path[i:j] once the run has grown
                 while j < n:
-                    candidate = run + [path[j]]
-                    try:
-                        coef = fit_ellipse(candidate)
-                    except (DegenerateInputError, NumericalFitError):
-                        run = candidate  # cannot judge yet; keep growing
-                        j += 1
-                        continue
-                    if sampson_residual(candidate, coef) <= cfg.e_res:
-                        run = candidate
-                        j += 1
-                    else:
+                    grown = _fit_arc(rows[j + 1] - rows[i])
+                    # a run that cannot be fitted yet keeps growing
+                    if grown and sampson_residual(pts[i : j + 1], grown) > cfg.e_res:
                         break
-                code = _arc_from_run(run, cfg)
+                    coef = grown
+                    j += 1
+                if j == i + 5:
+                    coef = _fit_arc(rows[j] - rows[i])
+                run = (path[i:j], rows[j] - rows[i], pts[i:j])
+                code = _arc_from_run(run[0], coef)
                 if code is not None:
                     comp_arcs.append((run, code))
                 else:
@@ -381,14 +404,12 @@ def cluster_ellipses(residual, cfg: EncoderConfig):
             merged_any = False
             for ia in range(len(comp_arcs)):
                 for ib in range(ia + 1, len(comp_arcs)):
-                    union = comp_arcs[ia][0] + comp_arcs[ib][0]
-                    try:
-                        coef = fit_ellipse(union)
-                    except (DegenerateInputError, NumericalFitError):
-                        continue
+                    union = _join(comp_arcs[ia][0], comp_arcs[ib][0])
+                    coef = _fit_arc(union[1])
                     if (
-                        sampson_residual(union, coef) <= cfg.e_res
-                        and (code := _arc_from_run(union, cfg)) is not None
+                        coef is not None
+                        and sampson_residual(union[2], coef) <= cfg.e_res
+                        and (code := _arc_from_run(union[0], coef)) is not None
                     ):
                         comp_arcs[ia] = (union, code)
                         del comp_arcs[ib]
@@ -399,17 +420,17 @@ def cluster_ellipses(residual, cfg: EncoderConfig):
         # merge undersized runs into the nearest accepted run in the component
         for small in comp_small:
             if comp_arcs:
-                sc = pixel_centroid(small)
+                sc = pixel_centroid(small[0])
                 nearest = min(
                     range(len(comp_arcs)),
-                    key=lambda k: math.dist(sc, pixel_centroid(comp_arcs[k][0])),
+                    key=lambda k: math.dist(sc, pixel_centroid(comp_arcs[k][0][0])),
                 )
-                merged = comp_arcs[nearest][0] + small
-                if (code := _arc_from_run(merged, cfg)) is not None:
+                merged = _join(comp_arcs[nearest][0], small)
+                if (code := _arc_from_run(merged[0], _fit_arc(merged[1]))) is not None:
                     comp_arcs[nearest] = (merged, code)
                     continue
-            leftovers.append(frozenset(small))
-        arcs.extend((code, frozenset(run)) for run, code in comp_arcs)
+            leftovers.append(frozenset(small[0]))
+        arcs.extend((code, frozenset(run[0])) for run, code in comp_arcs)
     return arcs, leftovers
 
 
@@ -422,14 +443,8 @@ def encode_stroke(stroke: Stroke, cfg: EncoderConfig) -> SubWordCode:
         )
     segments, residual = extract_lines(stroke, cfg)
     arcs, leftovers = cluster_ellipses(residual, cfg)
-    primitives: list[tuple] = []
-    for code, pixels in segments:
-        primitives.append((code, pixel_centroid(pixels)))
-    for code, pixels in arcs:
-        primitives.append((code, pixel_centroid(pixels)))
-    for group in leftovers:
-        cx, cy = pixel_centroid(group)
-        primitives.append((PointCode(cx, cy), (cx, cy)))
+    primitives = [(code, pixel_centroid(pixels)) for code, pixels in segments + arcs]
+    primitives += [(PointCode(*c), c) for c in map(pixel_centroid, leftovers)]
     # same ordering rule as strokes: left-to-right, top-to-bottom
     primitives.sort(key=lambda pr: (pr[1][0], pr[1][1]))
     anchors = [pr[1] for pr in primitives]

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, itemgetter, mul, sub
 
 import numpy as np
 
@@ -18,6 +20,7 @@ __all__ = [
     "LineSegmentCode",
     "EllipseCoefficients",
     "EllipseArcCode",
+    "Moments",
     "DegenerateInputError",
     "NumericalFitError",
     "NonEllipseError",
@@ -91,10 +94,118 @@ class EllipseArcCode:
 
 
 def _as_points(pixels) -> np.ndarray:
-    pts = np.asarray(list(pixels), dtype=float)
+    if not isinstance(pixels, np.ndarray):
+        pixels = list(pixels)
+    pts = np.asarray(pixels, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("expected a sequence of (x, y) points")
     return pts
+
+
+def _monomials(u, v, degree):
+    """u^i v^j for i + j <= degree: by degree, then by falling power of u."""
+    uu, uv, vv = u * u, u * v, v * v
+    if degree == 2:
+        return (1, u, v, uu, uv, vv)
+    return (1, u, v, uu, uv, vv, uu * u, uu * v, u * vv, vv * v,
+            uu * uu, uu * uv, uu * vv, uv * vv, vv * vv)
+
+
+def _running_sums(points, degree, origin):
+    """Sums of the monomials over points[:0], points[:1], ..., points[:n]."""
+    ox, oy = origin
+    return accumulate(
+        (_monomials(x - ox, y - oy, degree) for x, y in points),
+        lambda s, t: tuple(map(add, s, t)),
+        initial=(0,) * (6 if degree == 2 else 15),
+    )
+
+
+@dataclass(frozen=True)
+class Moments:
+    """Raw moment sums of a point set, taken about an origin.
+
+    `sums` holds the sums of u^i v^j over the points, with u = x - ox and
+    v = y - oy, for i + j <= 2 (enough for a line) or <= 4 (an ellipse),
+    in `_monomials` order: n, Su, Sv, Suu, Suv, Svv, Suuu, ...  Integer
+    pixels about an integer origin give Python ints, so moments add and
+    subtract exactly.  The fits take the points to be distinct.
+    """
+
+    sums: tuple
+    origin: tuple = (0, 0)
+
+    @classmethod
+    def of(cls, points, degree: int = 2, origin=(0, 0)) -> Moments:
+        *_, sums = _running_sums(points, degree, origin)
+        return cls(sums, origin)
+
+    @classmethod
+    def prefix(cls, points, degree: int = 2, origin=(0, 0)) -> list[Moments]:
+        """Rows r with r[j] - r[i] == Moments.of(points[i:j], degree, origin)."""
+        return [cls(s, origin) for s in _running_sums(points, degree, origin)]
+
+    def _combine(self, other: Moments, op) -> Moments:
+        if self.origin != other.origin or len(self.sums) != len(other.sums):
+            raise ValueError("moments differ in origin or degree")
+        return Moments(tuple(map(op, self.sums, other.sums)), self.origin)
+
+    def __add__(self, other: Moments) -> Moments:
+        return self._combine(other, add)
+
+    def __sub__(self, other: Moments) -> Moments:
+        return self._combine(other, sub)
+
+    def centroid(self) -> tuple[float, float]:
+        n, su, sv = self.sums[:3]
+        return self.origin[0] + su / n, self.origin[1] + sv / n
+
+    def central(self) -> tuple:
+        """Central sums d_ij for 2 <= i + j <= degree, times n^(i+j-1).
+
+        d_ij = sum (n u - Su)^i (n v - Sv)^j / n, a polynomial in the raw
+        sums, so integer sums give it exactly; the central sum
+        sum (u - mean u)^i (v - mean v)^j is d_ij / n^(i+j-1).  Order:
+        d20, d11, d02, then d30 ... d03 and d40 ... d04 at degree 4.
+        """
+        n, a, b, s20, s11, s02 = self.sums[:6]
+        d2 = (n * s20 - a * a, n * s11 - a * b, n * s02 - b * b)
+        if len(self.sums) == 6:
+            return d2
+        s30, s21, s12, s03, s40, s31, s22, s13, s04 = self.sums[6:]
+        aa, ab, bb = a * a, a * b, b * b
+        return d2 + (
+            2 * aa * a + n * (n * s30 - 3 * a * s20),
+            2 * aa * b + n * (n * s21 - 2 * a * s11 - b * s20),
+            2 * a * bb + n * (n * s12 - a * s02 - 2 * b * s11),
+            2 * bb * b + n * (n * s03 - 3 * b * s02),
+            -3 * aa * aa + n * (6 * aa * s20 + n * (n * s40 - 4 * a * s30)),
+            -3 * aa * ab
+            + n * (3 * aa * s11 + 3 * ab * s20 + n * (n * s31 - 3 * a * s21 - b * s30)),
+            -3 * ab * ab + n * (
+                aa * s02 + 4 * ab * s11 + bb * s20
+                + n * (n * s22 - 2 * a * s12 - 2 * b * s21)
+            ),
+            -3 * ab * bb
+            + n * (3 * ab * s02 + 3 * bb * s11 + n * (n * s13 - a * s03 - 3 * b * s12)),
+            -3 * bb * bb + n * (6 * bb * s02 + n * (n * s04 - 4 * b * s03)),
+        )
+
+
+def _moments(pixels, degree: int, need: int) -> Moments:
+    """The fit input as Moments of `need` or more distinct points: exact
+    about (0, 0) for integer points, float sums about the mean otherwise."""
+    if isinstance(pixels, Moments):
+        if pixels.sums[0] < need:
+            raise DegenerateInputError(f"need at least {need} distinct pixels")
+        return pixels
+    pts = _as_points(pixels)
+    if len(set(map(tuple, pts.tolist()))) < need:
+        raise DegenerateInputError(f"need at least {need} distinct pixels")
+    if np.array_equal(pts, np.round(pts)):
+        return Moments.of(pts.astype(np.int64).tolist(), degree)
+    origin = tuple(pts.mean(axis=0).tolist())
+    return Moments.of(pts.tolist(), degree, origin)
 
 
 def line_residual(pixels, line: PolarLine) -> float:
@@ -108,25 +219,25 @@ def line_residual(pixels, line: PolarLine) -> float:
 def fit_line(pixels) -> PolarLine:
     """Orthogonal least-squares line through the pixels, in polar form.
 
-    With centred sums Sxx, Syy and Sxy, the squared residual at normal
-    angle a is R(a) = C + A cos 2a + B sin 2a, where A = (Sxx - Syy) / 2
-    and B = Sxy.  So a0 = atan2(-2 Sxy, Syy - Sxx) / 2 is its minimum and
-    a0 + 90 deg its maximum.  a0 and a0 + 180 deg are the same line with
-    opposite signs of p: the one with p >= 0 is returned, the smaller
-    alpha when both qualify (a line through the origin), and p = 0 with
-    the smaller alpha when rounding leaves both slightly negative.
+    `pixels` is a point sequence or `Moments`.  With centred sums Sxx,
+    Syy and Sxy, the squared residual at normal angle a is
+    R(a) = C + A cos 2a + B sin 2a, where A = (Sxx - Syy) / 2 and B = Sxy.
+    So a0 = atan2(-2 Sxy, Syy - Sxx) / 2 is its minimum and a0 + 90 deg
+    its maximum; integer pixels give the three sums exactly.  a0 and
+    a0 + 180 deg are the same line with opposite signs of p: the one with
+    p >= 0 is returned, the smaller alpha when both qualify (a line
+    through the origin), and p = 0 with the smaller alpha when rounding
+    leaves both slightly negative.
     """
-    pts = _as_points(pixels)
-    if not (pts != pts[0]).any():
+    m = _moments(pixels, 2, 2)
+    cxx, cxy, cyy = m.central()[:3]
+    if cxx == cyy == 0:
         raise DegenerateInputError("need at least 2 distinct pixels")
-    x, y = pts[:, 0], pts[:, 1]
-    xm, ym = x.mean(), y.mean()
-    num = -2.0 * np.sum((ym - y) * (xm - x))
-    den = np.sum((ym - y) ** 2 - (xm - x) ** 2)
-    alpha0 = 0.5 * math.atan2(num, den)
+    alpha0 = 0.5 * math.atan2(-2 * cxy, cyy - cxx)
+    xm, ym = m.centroid()
     # the second modulo folds the 360.0 that a tiny negative angle rounds to
     normals = sorted(
-        (math.degrees(a) % 360.0 % 360.0, float(xm * math.cos(a) + ym * math.sin(a)))
+        (math.degrees(a) % 360.0 % 360.0, xm * math.cos(a) + ym * math.sin(a))
         for a in (alpha0, alpha0 + math.pi)
     )
     for alpha, p in normals:
@@ -165,86 +276,73 @@ def segment_extent(pixels, line: PolarLine):
     return l, p_lo, p_hi
 
 
-_C1_INV = np.array([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]])
-
-
-def _translate_conic(coef: np.ndarray, dx: float, dy: float) -> np.ndarray:
-    """Coefficients of the conic after substituting x -> x - dx, y -> y - dy."""
-    a, b, c, d, e, f = coef
-    d2 = d - 2.0 * a * dx - b * dy
-    e2 = e - 2.0 * c * dy - b * dx
-    f2 = (
-        f
-        + a * dx * dx
-        + b * dx * dy
-        + c * dy * dy
-        - d * dx
-        - e * dy
-    )
-    return np.array([a, b, c, d2, e2, f2])
-
-
 def fit_ellipse(pixels) -> EllipseCoefficients:
-    """Direct least-squares ellipse fit (stable split-design-matrix form).
+    """Direct least-squares ellipse fit (Halir-Flusser split form).
 
-    Minimizes the summed squared algebraic distance subject to the
-    ellipse constraint; the quadratic part is the eigenvector of the
-    reduced scatter system with the minimal positive eigenvalue, rescaled
-    so that 4ac - b^2 = 1.
+    `pixels` is a point sequence or degree-4 `Moments`.  Minimizes the
+    summed squared algebraic distance subject to the ellipse constraint;
+    the quadratic part is the eigenvector of the reduced scatter system
+    with the minimal positive eigenvalue, rescaled so that 4ac - b^2 = 1.
+    The system is set up about the centroid, where the linear block S3
+    is diag([[Sxx, Sxy], [Sxy, Syy]], n); integer pixels give the reduced
+    matrix exactly, rounded once to float.
     """
-    pts = _as_points(pixels)
-    if len(set(map(tuple, pts.tolist()))) < 5:
-        raise DegenerateInputError("need at least 5 distinct pixels")
-    # center the data for conditioning; translate coefficients back at the end
-    mx, my = pts.mean(axis=0)
-    centered = pts - (mx, my)
-    # collinearity check via the centered covariance rank
-    sv = np.linalg.svd(centered, compute_uv=False)
-    if sv[1] <= 1e-9 * max(sv[0], 1.0):
+    m = _moments(pixels, 4, 5)
+    if len(m.sums) < 15:
+        raise ValueError("fit_ellipse needs moments of degree 4")
+    n = m.sums[0]
+    d20, d11, d02, d30, d21, d12, d03, d40, d31, d22, d13, d04 = m.central()
+    det = d20 * d02 - d11 * d11
+    # exact zero for integer pixels; rounding leaves collinear floats a sliver
+    if det <= 1e-18 * (d20 + d02) ** 2:
         raise DegenerateInputError("pixels are collinear")
-
-    x, y = centered.T
-    d1 = np.column_stack([x * x, x * y, y * y])
-    d2 = np.column_stack([x, y, np.ones_like(x)])
-    s1 = d1.T @ d1
-    s2 = d1.T @ d2
-    s3 = d2.T @ d2
-    try:
-        t = -np.linalg.solve(s3, s2.T)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFitError("linear subsystem is singular") from exc
-    m = _C1_INV @ (s1 + s2 @ t)
-    eigvals, eigvecs = np.linalg.eig(m)
-    lam = np.real(eigvals)
-    vecs = np.real(eigvecs)
-    floor = 1e-12 * np.max(np.abs(lam))
-    best = None
-    fallback = None
-    for i in range(3):
-        if abs(np.imag(eigvals[i])) > 1e-8 * max(1.0, abs(lam[i])):
-            continue
-        a1 = vecs[:, i]
-        cond = 4.0 * a1[0] * a1[2] - a1[1] ** 2
-        if cond <= 0:
-            continue
-        if lam[i] > floor:
-            if best is None or lam[i] < best[0]:
-                best = (lam[i], a1, cond)
-        elif fallback is None or lam[i] > fallback[0]:
-            fallback = (lam[i], a1, cond)
-    if best is None:
-        # an exact fit drives the relevant eigenvalue to numerical zero;
-        # the ellipse-constraint-satisfying eigenvector is still the answer
-        best = fallback
+    # The blocks about the centroid, each central sum scaled by n^(i+j-1)
+    # so that it stays an integer: S1 is the scatter of q = (x^2, xy, y^2),
+    # S2 = [gx gy g1] its cross-scatter with (x, y, 1), and S3 is the 2x2
+    # block [[d20, d11], [d11, d02]] beside n.  So t = -S3^-1 S2^T has rows
+    # tx / (n det), ty / (n det) and -g1 / n^2, and red = (S1 + S2 t) n^3 det.
+    s1 = ((d40, d31, d22), (d31, d22, d13), (d22, d13, d04))
+    gx, gy, g1 = (d30, d21, d12), (d21, d12, d03), (d20, d11, d02)
+    tx = [d11 * y - d02 * x for x, y in zip(gx, gy)]
+    ty = [d11 * x - d20 * y for x, y in zip(gx, gy)]
+    red = [
+        [det * (s1[i][k] - g1[i] * g1[k]) + gx[i] * tx[k] + gy[i] * ty[k]
+         for k in range(3)]
+        for i in range(3)
+    ]
+    scale = n**3 * det
+    # C1^-1 (S1 + S2 t), with C1 the constraint matrix of 4ac - b^2
+    mat = [[v / scale * w for v in red[2 - i]] for i, w in enumerate((0.5, -1.0, 0.5))]
+    eigvals, eigvecs = np.linalg.eig(np.array(mat))
+    lams, imags = eigvals.real.tolist(), eigvals.imag.tolist()
+    floor = 1e-12 * max(map(abs, lams))
+    # real eigenvectors inside the ellipse constraint, 4ac - b^2 > 0
+    found = [
+        (lam, a1, cond)
+        for lam, imag, a1 in zip(lams, imags, eigvecs.real.T.tolist())
+        if abs(imag) <= 1e-8 * max(1.0, abs(lam))
+        and (cond := 4.0 * a1[0] * a1[2] - a1[1] ** 2) > 0
+    ]
+    # the minimal positive eigenvalue; an exact fit drives it to numerical
+    # zero, and then the largest one at or below the floor is the answer
+    above = [f for f in found if f[0] > floor]
+    key = itemgetter(0)  # the eigenvalue
+    best = min(above, key=key) if above else max(found, key=key, default=None)
     if best is None:
         raise NumericalFitError("no eigenvector satisfies the ellipse constraint")
     _, a1, cond = best
-    a1 = a1 / math.sqrt(cond)  # enforce 4ac - b^2 = 1
+    a1 = [v / math.sqrt(cond) for v in a1]  # enforce 4ac - b^2 = 1
     if a1[0] + a1[2] < 0:
-        a1 = -a1  # canonical sign: positive-definite quadratic part
-    a2 = t @ a1
-    coef = _translate_conic(np.concatenate([a1, a2]), mx, my)
-    return EllipseCoefficients(*[float(v) for v in coef])
+        a1 = [-v for v in a1]  # canonical sign: positive-definite quadratic part
+    a, b, c = a1
+    d, e = (sum(map(mul, row, a1)) / (n * det) for row in (tx, ty))
+    f = -sum(map(mul, g1, a1)) / n**2
+    # back from the centroid (x0, y0) to page coordinates
+    x0, y0 = m.centroid()
+    return EllipseCoefficients(
+        a, b, c, d - 2.0 * a * x0 - b * y0, e - 2.0 * c * y0 - b * x0,
+        f + a * x0 * x0 + b * x0 * y0 + c * y0 * y0 - d * x0 - e * y0,
+    )
 
 
 def _conic_at(pixels, coef: EllipseCoefficients):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 from .encoder import (
-    CodedElement,
     EllipseArcCode,
     LineSegmentCode,
     PointCode,
@@ -149,6 +148,39 @@ def _arc_path(code: EllipseArcCode) -> str:
     return "M " + " L ".join(pts)
 
 
+def _draw_point(code: PointCode, anchor) -> str:
+    return (
+        f'<circle cx="{code.x:.2f}" cy="{code.y:.2f}" r="1.2" '
+        'fill="none" stroke="green" stroke-width="0.4"/>'
+    )
+
+
+def _draw_line(code: LineSegmentCode, anchor) -> str:
+    """The segment of length l centred on the anchor's projection."""
+    a = math.radians(code.alpha)
+    nx, ny = math.cos(a), math.sin(a)
+    dx, dy = -math.sin(a), math.cos(a)
+    t0 = 0.0 if anchor is None else anchor[0] * dx + anchor[1] * dy
+    x1 = code.p * nx + (t0 - code.l / 2) * dx
+    y1 = code.p * ny + (t0 - code.l / 2) * dy
+    x2 = code.p * nx + (t0 + code.l / 2) * dx
+    y2 = code.p * ny + (t0 + code.l / 2) * dy
+    return (
+        f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" '
+        f'y2="{y2:.2f}" stroke="blue" stroke-width="0.5"/>'
+    )
+
+
+def _draw_arc(code: EllipseArcCode, anchor) -> str:
+    return (
+        f'<path d="{_arc_path(code)}" fill="none" stroke="red" '
+        'stroke-width="0.5"/>'
+    )
+
+
+_DRAW = {PointCode: _draw_point, LineSegmentCode: _draw_line, EllipseArcCode: _draw_arc}
+
+
 def svg_overlay(word: WordCode, skeleton: BinaryRaster) -> str:
     """SVG drawing of the skeleton with fitted primitives and directions."""
     w, h = skeleton.width, skeleton.height
@@ -163,33 +195,7 @@ def svg_overlay(word: WordCode, skeleton: BinaryRaster) -> str:
         )
     for entry in word.subwords:
         for el in entry.code.elements:
-            code = el.code
-            if isinstance(code, PointCode):
-                parts.append(
-                    f'<circle cx="{code.x:.2f}" cy="{code.y:.2f}" r="1.2" '
-                    'fill="none" stroke="green" stroke-width="0.4"/>'
-                )
-            elif isinstance(code, LineSegmentCode):
-                a = math.radians(code.alpha)
-                nx, ny = math.cos(a), math.sin(a)
-                dx, dy = -math.sin(a), math.cos(a)
-                if el.anchor is not None:
-                    t0 = el.anchor[0] * dx + el.anchor[1] * dy
-                else:
-                    t0 = 0.0
-                x1 = code.p * nx + (t0 - code.l / 2) * dx
-                y1 = code.p * ny + (t0 - code.l / 2) * dy
-                x2 = code.p * nx + (t0 + code.l / 2) * dx
-                y2 = code.p * ny + (t0 + code.l / 2) * dy
-                parts.append(
-                    f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" '
-                    f'y2="{y2:.2f}" stroke="blue" stroke-width="0.5"/>'
-                )
-            else:
-                parts.append(
-                    f'<path d="{_arc_path(code)}" fill="none" stroke="red" '
-                    'stroke-width="0.5"/>'
-                )
+            parts.append(_DRAW[type(el.code)](el.code, el.anchor))
             if el.anchor is not None:
                 for j, d in enumerate(el.dirs):
                     if d == 9:

@@ -4,7 +4,9 @@ The oracles deliberately avoid the library's own numerics: the line
 oracle is a brute-force grid search, the thinning oracle is a scalar
 re-implementation of the two-subiteration rules followed by a
 breadth-first-search staircase prune, and the alignment oracle
-enumerates every monotone alignment.
+enumerates every monotone alignment.  The reference fits build float
+design matrices from the points, where the library reads exact integer
+moments, and the reference path walk rescans for endpoints on every path.
 """
 
 import itertools
@@ -17,11 +19,16 @@ import pytest
 from glyphcode import (
     BinaryRaster,
     CodedElement,
+    DegenerateInputError,
     EllipseArcCode,
+    EllipseCoefficients,
     LineSegmentCode,
+    NumericalFitError,
     PointCode,
+    PolarLine,
 )
 from glyphcode.matcher import element_match, element_subset
+from glyphcode.raster import neighbors
 
 # ---------------------------------------------------------------------------
 # brute-force polar line oracle
@@ -53,6 +60,137 @@ def orthogonal_sse(points, p, alpha_deg):
     a = math.radians(alpha_deg)
     d = pts[:, 0] * math.cos(a) + pts[:, 1] * math.sin(a) - p
     return float((d**2).sum())
+
+
+# ---------------------------------------------------------------------------
+# reference fits on float design matrices
+
+
+def reference_fit_line(points):
+    """Orthogonal regression line from mean-centred float sums."""
+    pts = np.asarray(points, dtype=float)
+    if not (pts != pts[0]).any():
+        raise DegenerateInputError("need at least 2 distinct pixels")
+    x, y = pts[:, 0], pts[:, 1]
+    xm, ym = x.mean(), y.mean()
+    num = -2.0 * np.sum((ym - y) * (xm - x))
+    den = np.sum((ym - y) ** 2 - (xm - x) ** 2)
+    alpha0 = 0.5 * math.atan2(num, den)
+    normals = sorted(
+        (math.degrees(a) % 360.0 % 360.0, float(xm * math.cos(a) + ym * math.sin(a)))
+        for a in (alpha0, alpha0 + math.pi)
+    )
+    for alpha, p in normals:
+        if p >= 0:
+            return PolarLine(p, alpha)
+    return PolarLine(0.0, normals[0][0])
+
+
+def reference_fit_ellipse(points):
+    """Halir-Flusser ellipse fit from the centred design matrices D1, D2."""
+    pts = np.asarray(points, dtype=float)
+    if len(set(map(tuple, pts.tolist()))) < 5:
+        raise DegenerateInputError("need at least 5 distinct pixels")
+    mx, my = pts.mean(axis=0)
+    centered = pts - (mx, my)
+    sv = np.linalg.svd(centered, compute_uv=False)
+    if sv[1] <= 1e-9 * max(sv[0], 1.0):
+        raise DegenerateInputError("pixels are collinear")
+    x, y = centered.T
+    d1 = np.column_stack([x * x, x * y, y * y])
+    d2 = np.column_stack([x, y, np.ones_like(x)])
+    s1, s2, s3 = d1.T @ d1, d1.T @ d2, d2.T @ d2
+    t = -np.linalg.solve(s3, s2.T)
+    c1_inv = np.array([[0.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.5, 0.0, 0.0]])
+    eigvals, eigvecs = np.linalg.eig(c1_inv @ (s1 + s2 @ t))
+    lam, vecs = np.real(eigvals), np.real(eigvecs)
+    floor = 1e-12 * np.max(np.abs(lam))
+    best = fallback = None
+    for i in range(3):
+        if abs(np.imag(eigvals[i])) > 1e-8 * max(1.0, abs(lam[i])):
+            continue
+        a1 = vecs[:, i]
+        cond = 4.0 * a1[0] * a1[2] - a1[1] ** 2
+        if cond <= 0:
+            continue
+        if lam[i] > floor:
+            if best is None or lam[i] < best[0]:
+                best = (lam[i], a1, cond)
+        elif fallback is None or lam[i] > fallback[0]:
+            fallback = (lam[i], a1, cond)
+    best = best or fallback
+    if best is None:
+        raise NumericalFitError("no eigenvector satisfies the ellipse constraint")
+    _, a1, cond = best
+    a1 = a1 / math.sqrt(cond)
+    if a1[0] + a1[2] < 0:
+        a1 = -a1
+    a, b, c = a1
+    d, e, f = t @ a1
+    return EllipseCoefficients(
+        float(a),
+        float(b),
+        float(c),
+        float(d - 2.0 * a * mx - b * my),
+        float(e - 2.0 * c * my - b * mx),
+        float(f + a * mx * mx + b * mx * my + c * my * my - d * mx - e * my),
+    )
+
+
+def random_pixel_run(rng, min_len=5, max_len=60, span=500):
+    """A self-avoiding 8-connected pixel run that tends to keep its heading."""
+    steps = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy]
+    target = rng.randint(min_len, max_len)
+    while True:
+        run = [(rng.randint(0, span), rng.randint(0, span))]
+        seen = set(run)
+        step = rng.choice(steps)
+        for _ in range(20 * target):
+            if len(run) == target:
+                return run
+            if rng.random() < 0.3:
+                step = rng.choice(steps)
+            nxt = (run[-1][0] + step[0], run[-1][1] + step[1])
+            if nxt not in seen:
+                run.append(nxt)
+                seen.add(nxt)
+
+
+# ---------------------------------------------------------------------------
+# reference path walk
+
+
+def reference_walk_paths(pixels):
+    """Maximal 8-connected paths, rescanning the remaining pixels for
+    endpoints before each path."""
+
+    def rowmajor(p):
+        return (p[1], p[0])
+
+    remaining = set(pixels)
+    paths = []
+    while remaining:
+        endpoints = [p for p in remaining if len(neighbors(p, remaining)) == 1]
+        cur = min(endpoints or remaining, key=rowmajor)
+        path = [cur]
+        remaining.discard(cur)
+        heading = None
+        while nbrs := neighbors(cur, remaining):
+            if heading is None:
+                nxt = min(nbrs, key=rowmajor)
+            else:
+                def turn(n):
+                    ang = math.atan2(n[1] - cur[1], n[0] - cur[0])
+                    d = abs(ang - heading) % (2 * math.pi)
+                    return min(d, 2 * math.pi - d)
+
+                nxt = min(nbrs, key=lambda n: (turn(n), rowmajor(n)))
+            heading = math.atan2(nxt[1] - cur[1], nxt[0] - cur[0])
+            path.append(nxt)
+            remaining.discard(nxt)
+            cur = nxt
+        paths.append(path)
+    return paths
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -26,9 +27,10 @@ from glyphcode import (
     word_from_json,
     word_to_json,
 )
-from glyphcode.encoder import cluster_ellipses, extract_lines
-from glyphcode.render import DEMO_GLYPHS, render_glyph
-from conftest import sample_ellipse
+from glyphcode import encoder, thin
+from glyphcode.encoder import _walk_paths, cluster_ellipses, extract_lines
+from glyphcode.render import DEMO_GLYPHS, render_glyph, render_word_image
+from conftest import random_blob, reference_walk_paths, sample_ellipse
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +335,30 @@ def test_pixel_conservation_on_fixtures():
                 claimed |= set(g)
             dropped = len(set(stroke.pixels) - claimed)
             assert dropped <= 0.05 * len(stroke.pixels)
+
+
+def test_walk_paths_matches_reference_walk():
+    rng = random.Random(29)
+    images = [random_blob(rng) for _ in range(20)]
+    images += [render_glyph(name, size) for name in DEMO_GLYPHS for size in (50, 120)]
+    for img in images:
+        pixels = thin(img).foreground()
+        assert _walk_paths(pixels) == reference_walk_paths(pixels)
+
+
+def test_encoder_calls_the_names_the_benchmark_traces(monkeypatch):
+    """bench/tracing.py times these by wrapping the encoder's attributes."""
+    names = ("thin", "segment", "fit_line", "fit_ellipse", "sampson_residual")
+    counts = dict.fromkeys(names, 0)
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(encoder, name)):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(encoder, name, counted)
+    cfg = EncoderConfig(dd=1.0, l_min=22.0, e_res=0.5)
+    encode_word(render_word_image(("oval", "zig"), 60), cfg)
+    assert all(counts.values()), counts
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from glyphcode import (
     DegenerateInputError,
     EllipseCoefficients,
+    Moments,
     NonEllipseError,
+    NumericalFitError,
     arc_angles,
     conic_to_geometric,
     fit_ellipse,
@@ -20,7 +22,14 @@ from glyphcode import (
     segment_extent,
 )
 from glyphcode.geomfit import algebraic_residual, line_residual
-from conftest import grid_line_oracle, orthogonal_sse, sample_ellipse
+from conftest import (
+    grid_line_oracle,
+    orthogonal_sse,
+    random_pixel_run,
+    reference_fit_ellipse,
+    reference_fit_line,
+    sample_ellipse,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -293,3 +302,78 @@ def test_line_residual_zero_on_line():
     from glyphcode import PolarLine
 
     assert line_residual([(0, 3), (5, 3)], PolarLine(3, 90)) == pytest.approx(0.0)
+
+
+# ---------------------------------------------------------------------------
+# exact integer moments against the float design-matrix fits
+
+
+def _runs(count=500, seed=7):
+    rng = random.Random(seed)
+    return [random_pixel_run(rng) for _ in range(count)]
+
+
+def test_moment_fits_agree_with_reference_fits():
+    compared = 0
+    for run in _runs():
+        want, got = reference_fit_line(run), fit_line(run)
+        turn = abs(got.alpha - want.alpha) % 360.0
+        assert min(turn, 360.0 - turn) <= 1e-9
+        assert got.p == pytest.approx(want.p, rel=1e-9, abs=1e-9)
+        try:
+            ref = reference_fit_ellipse(run)
+            if conic_to_geometric(ref)[3] < 1.0:
+                continue
+        except (DegenerateInputError, NumericalFitError, NonEllipseError):
+            continue
+        # relative to the largest coefficient: the conics are defined up to
+        # scale, and the small ones sit at rounding level of the large
+        want = ref.as_array()
+        err = np.abs(fit_ellipse(run).as_array() - want).max()
+        assert err <= 1e-6 * np.abs(want).max()
+        compared += 1
+    assert compared >= 300
+
+
+def test_moments_prefix_slices_and_sums_are_exact():
+    rng = random.Random(11)
+    for run in _runs(50):
+        origin = (rng.randint(-5, 5), rng.randint(-5, 5))
+        rows = Moments.prefix(run, 4, origin)
+        for _ in range(5):
+            i, j = sorted(rng.sample(range(len(run) + 1), 2))
+            assert rows[j] - rows[i] == Moments.of(run[i:j], 4, origin)
+            head, tail = Moments.of(run[:i], 4, origin), Moments.of(run[i:], 4, origin)
+            assert head + tail == rows[-1]
+    with pytest.raises(ValueError):
+        Moments.of(run, 4) + Moments.of(run, 4, (1, 0))
+    with pytest.raises(ValueError):
+        fit_ellipse(Moments.of(run, 2))
+
+
+def test_central_sums_and_line_alpha_survive_integer_translation():
+    rng = random.Random(13)
+    for run in _runs(100):
+        line = fit_line(run)
+        central = Moments.of(run, 4).central()
+        assert Moments.of(run, 4, (run[0][0], run[0][1])).central() == central
+        a = math.radians(line.alpha)
+        for _ in range(3):
+            dx, dy = rng.randint(-300, 300), rng.randint(-300, 300)
+            moved = [(x + dx, y + dy) for x, y in run]
+            assert Moments.of(moved, 4).central() == central
+            # a shift towards the normal keeps p > 0, so the same normal
+            if line.p > 0 and dx * math.cos(a) + dy * math.sin(a) > 0:
+                assert fit_line(moved).alpha == line.alpha
+
+
+def test_collinear_runs_are_degenerate():
+    rng = random.Random(17)
+    for _ in range(50):
+        dx, dy = rng.choice([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 3)])
+        x0, y0 = rng.randint(0, 500), rng.randint(0, 500)
+        run = [(x0 + k * dx, y0 + k * dy) for k in range(rng.randint(5, 60))]
+        with pytest.raises(DegenerateInputError):
+            fit_ellipse(run)
+        with pytest.raises(DegenerateInputError):
+            fit_ellipse(Moments.of(run, 4, (x0, y0)))
