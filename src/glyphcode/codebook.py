@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 from .config import TOLERANCE_KEYS
 from .encoder import (
@@ -420,11 +420,35 @@ def _tol_from_obj(obj) -> MatchTolerances:
     return MatchTolerances(**vals)
 
 
+def _emittable(code) -> bool:
+    """Whether the encoder can emit the primitive: finite parameters,
+    lines of positive length, arcs with a >= b > 0."""
+    if not all(map(math.isfinite, astuple(code))):
+        return False
+    if isinstance(code, LineSegmentCode):
+        return code.l > 0
+    if isinstance(code, EllipseArcCode):
+        return code.a >= code.b > 0
+    return True
+
+
 def _code_from_obj(obj) -> SubWordCode:
     code = subword_from_obj(obj)
     if not code.elements:
         raise ValueError("empty code")
+    for el in code.elements:
+        if not _emittable(el.code):
+            raise ValueError(f"no encoder emits {el.code}")
     return code
+
+
+def _flagged_from_obj(obj) -> list[tuple[str, str]]:
+    if not isinstance(obj, list) or not all(
+        isinstance(f, list) and len(f) == 2 and all(isinstance(v, str) for v in f)
+        for f in obj
+    ):
+        raise ValueError(f"flagged must be a list of [glyph, position] strings: {obj!r}")
+    return [tuple(f) for f in obj]
 
 
 def save_codebook(book: Codebook, path) -> None:
@@ -466,8 +490,10 @@ def load_codebook(path) -> Codebook:
             )
             book.entries[(cc.glyph, cc.position.value)] = cc
         book.fingerprint = [_code_from_obj(c) for c in obj["fingerprint"]]
-        book.flagged = [tuple(f) for f in obj.get("flagged", [])]
-        book.skipped = int(obj.get("skipped", 0))
-    except (KeyError, TypeError, ValueError) as exc:
+        book.flagged = _flagged_from_obj(obj.get("flagged", []))
+        book.skipped = obj.get("skipped", 0)
+        if type(book.skipped) is not int or book.skipped < 0:
+            raise ValueError(f"skipped must be an integer >= 0: {book.skipped!r}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CodebookFormatError(f"malformed codebook: {exc}") from exc
     return book

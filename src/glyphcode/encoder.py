@@ -22,7 +22,6 @@ from .geomfit import (
     LineSegmentCode,
     Moments,
     NonEllipseError,
-    NumericalFitError,
     arc_angles,
     conic_to_geometric,
     fit_ellipse,
@@ -338,12 +337,8 @@ def _arc_from_run(run, coef: EllipseCoefficients | None) -> EllipseArcCode | Non
     return EllipseArcCode(geo[0], geo[1], geo[2], geo[3], phi, beta, gamma)
 
 
-def _fit_arc(m: Moments) -> EllipseCoefficients | None:
-    """The ellipse fit of the moments, or None when they admit none."""
-    try:
-        return fit_ellipse(m)
-    except (DegenerateInputError, NumericalFitError):
-        return None
+# candidate ends in a run's first growth block; each later block doubles
+_FIRST_BLOCK = 4
 
 
 def _join(a, b):
@@ -355,12 +350,22 @@ def cluster_ellipses(residual, cfg: EncoderConfig):
     """Group leftover pixels into ellipse-arc runs.
 
     The residual is split into 8-connected components; inside each, path
-    ordered runs grow greedily while the gradient-weighted fit residual
-    stays within `e_res`.  Runs too small to host an ellipse are merged
-    into an adjacent accepted run when one exists, otherwise returned as
-    leftover groups for the caller to degrade into points.  A run carries
-    its pixels, their moments about the component's bounding-box corner
-    and their float coordinates, so joining two runs is one addition.
+    ordered runs seed on 5 pixels and grow greedily, one pixel at a time,
+    while the gradient-weighted fit residual stays within `e_res`; a run
+    that cannot be fitted yet keeps growing.  The growth is evaluated in
+    blocks of candidate ends, `_FIRST_BLOCK` at first and doubling: one
+    `fit_ellipse` call fits every candidate of a block with one stacked
+    eigensolve, one `sampson_residual` call measures each on its own
+    prefix, and the run stops before the first candidate over `e_res`.
+    Each candidate reads exactly the numbers a one-pixel step would, so
+    the runs are those of the one-step loop; the candidates past the stop
+    are the only extra work, fewer than the block that holds it.
+
+    Runs too small to host an ellipse are merged into an adjacent
+    accepted run when one exists, otherwise returned as leftover groups
+    for the caller to degrade into points.  A run carries its pixels,
+    their moments about the component's bounding-box corner and their
+    float coordinates, so joining two runs is one addition.
 
     Returns (arcs, leftovers): arcs as (EllipseArcCode, pixel set) pairs.
     """
@@ -381,15 +386,25 @@ def cluster_ellipses(residual, cfg: EncoderConfig):
                     break
                 j = i + 5
                 coef = None  # the fit of path[i:j] once the run has grown
+                size = _FIRST_BLOCK
                 while j < n:
-                    grown = _fit_arc(rows[j + 1] - rows[i])
-                    # a run that cannot be fitted yet keeps growing
-                    if grown and sampson_residual(pts[i : j + 1], grown) > cfg.e_res:
+                    ends = range(j + 1, min(j + size, n) + 1)
+                    fits = fit_ellipse([rows[e] - rows[i] for e in ends])
+                    res = sampson_residual(pts[i : ends[-1]], fits)
+                    # the first fitted run over e_res stops the growth; a run
+                    # that cannot be fitted yet keeps growing
+                    over = [
+                        k for k, r in enumerate(res) if r is not None and r > cfg.e_res
+                    ]
+                    grown = over[0] if over else len(fits)
+                    if grown:
+                        coef = fits[grown - 1]
+                    j += grown
+                    if over:
                         break
-                    coef = grown
-                    j += 1
+                    size *= 2
                 if j == i + 5:
-                    coef = _fit_arc(rows[j] - rows[i])
+                    coef = fit_ellipse([rows[j] - rows[i]])[0]
                 run = (path[i:j], rows[j] - rows[i], pts[i:j])
                 code = _arc_from_run(run[0], coef)
                 if code is not None:
@@ -405,7 +420,7 @@ def cluster_ellipses(residual, cfg: EncoderConfig):
             for ia in range(len(comp_arcs)):
                 for ib in range(ia + 1, len(comp_arcs)):
                     union = _join(comp_arcs[ia][0], comp_arcs[ib][0])
-                    coef = _fit_arc(union[1])
+                    coef = fit_ellipse([union[1]])[0]
                     if (
                         coef is not None
                         and sampson_residual(union[2], coef) <= cfg.e_res
@@ -426,7 +441,8 @@ def cluster_ellipses(residual, cfg: EncoderConfig):
                     key=lambda k: math.dist(sc, pixel_centroid(comp_arcs[k][0][0])),
                 )
                 merged = _join(comp_arcs[nearest][0], small)
-                if (code := _arc_from_run(merged[0], _fit_arc(merged[1]))) is not None:
+                coef = fit_ellipse([merged[1]])[0]
+                if (code := _arc_from_run(merged[0], coef)) is not None:
                     comp_arcs[nearest] = (merged, code)
                     continue
             leftovers.append(frozenset(small[0]))

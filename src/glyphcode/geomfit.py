@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add, itemgetter, mul, sub
+from operator import add, attrgetter, itemgetter, mul, sub
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "conic_to_geometric",
     "arc_angles",
     "line_residual",
-    "algebraic_residual",
     "sampson_residual",
 ]
 
@@ -276,18 +275,66 @@ def segment_extent(pixels, line: PolarLine):
     return l, p_lo, p_hi
 
 
-def fit_ellipse(pixels) -> EllipseCoefficients:
+def fit_ellipse(pixels):
     """Direct least-squares ellipse fit (Halir-Flusser split form).
 
-    `pixels` is a point sequence or degree-4 `Moments`.  Minimizes the
-    summed squared algebraic distance subject to the ellipse constraint;
-    the quadratic part is the eigenvector of the reduced scatter system
-    with the minimal positive eigenvalue, rescaled so that 4ac - b^2 = 1.
-    The system is set up about the centroid, where the linear block S3
-    is diag([[Sxx, Sxy], [Sxy, Syy]], n); integer pixels give the reduced
-    matrix exactly, rounded once to float.
+    `pixels` is a point sequence or degree-4 `Moments`; a single fit
+    returns its `EllipseCoefficients` or raises `DegenerateInputError` or
+    `NumericalFitError`.  `pixels` may also be a block: a list of degree-4
+    `Moments`, for which the result is a list holding each member's
+    coefficients, or None where the member has no fit.
+
+    Minimizes the summed squared algebraic distance subject to the ellipse
+    constraint; the quadratic part is the eigenvector of the reduced
+    scatter system with the minimal positive eigenvalue, rescaled so that
+    4ac - b^2 = 1.  The system is set up about the centroid, where the
+    linear block S3 is diag([[Sxx, Sxy], [Sxy, Syy]], n); integer pixels
+    give the reduced matrix exactly, rounded once to float.  A block's
+    matrices go to one stacked `np.linalg.eig`, which runs LAPACK on each
+    matrix as a call of its own would, so a member fits bit for bit as
+    it does alone.
     """
-    m = _moments(pixels, 4, 5)
+    block = isinstance(pixels, list) and bool(pixels) and isinstance(pixels[0], Moments)
+    fits = _fit_block(pixels if block else [pixels])
+    if block:
+        return [f if isinstance(f, EllipseCoefficients) else None for f in fits]
+    if isinstance(fits[0], Exception):
+        raise fits[0]
+    return fits[0]
+
+
+def _fit_block(block) -> list:
+    """Each member's `EllipseCoefficients`, or the error that stops its fit.
+
+    The errors are kept without their tracebacks: a traceback holds this
+    frame, whose `fits` holds the error, a cycle only the collector frees.
+    """
+    fits = []
+    for member in block:
+        try:
+            fits.append(_reduced_system(_moments(member, 4, 5)))
+        except DegenerateInputError as exc:
+            fits.append(exc.with_traceback(None))
+    solvable = [k for k, fit in enumerate(fits) if isinstance(fit, tuple)]
+    if not solvable:
+        return fits
+    eigvals, eigvecs = np.linalg.eig(np.array([fits[k][0] for k in solvable]))
+    for k, lams, imags, vecs in zip(
+        solvable,
+        eigvals.real.tolist(),
+        eigvals.imag.tolist(),
+        eigvecs.real.transpose(0, 2, 1).tolist(),  # rows are eigenvectors
+    ):
+        try:
+            fits[k] = _conic_from_eigen(fits[k][1], lams, imags, vecs)
+        except NumericalFitError as exc:
+            fits[k] = exc.with_traceback(None)
+    return fits
+
+
+def _reduced_system(m: Moments):
+    """The reduced matrix C1^-1 (S1 + S2 t) of the moments, rounded once,
+    and what `_conic_from_eigen` needs to finish the fit."""
     if len(m.sums) < 15:
         raise ValueError("fit_ellipse needs moments of degree 4")
     n = m.sums[0]
@@ -313,13 +360,18 @@ def fit_ellipse(pixels) -> EllipseCoefficients:
     scale = n**3 * det
     # C1^-1 (S1 + S2 t), with C1 the constraint matrix of 4ac - b^2
     mat = [[v / scale * w for v in red[2 - i]] for i, w in enumerate((0.5, -1.0, 0.5))]
-    eigvals, eigvecs = np.linalg.eig(np.array(mat))
-    lams, imags = eigvals.real.tolist(), eigvals.imag.tolist()
+    return mat, (m, n, det, tx, ty, g1)
+
+
+def _conic_from_eigen(setup, lams, imags, vecs) -> EllipseCoefficients:
+    """The ellipse picked from the reduced matrix's eigenpairs, in page
+    coordinates."""
+    m, n, det, tx, ty, g1 = setup
     floor = 1e-12 * max(map(abs, lams))
     # real eigenvectors inside the ellipse constraint, 4ac - b^2 > 0
     found = [
         (lam, a1, cond)
-        for lam, imag, a1 in zip(lams, imags, eigvecs.real.T.tolist())
+        for lam, imag, a1 in zip(lams, imags, vecs)
         if abs(imag) <= 1e-8 * max(1.0, abs(lam))
         and (cond := 4.0 * a1[0] * a1[2] - a1[1] ** 2) > 0
     ]
@@ -345,33 +397,42 @@ def fit_ellipse(pixels) -> EllipseCoefficients:
     )
 
 
-def _conic_at(pixels, coef: EllipseCoefficients):
-    """The pixel coordinates x, y and the conic's value F(x, y) at each."""
-    pts = _as_points(pixels)
-    x, y = pts[:, 0], pts[:, 1]
-    f = coef.a * x * x + coef.b * x * y + coef.c * y * y
-    f = f + coef.d * x + coef.e * y + coef.f
-    return x, y, f
+_COEFFICIENTS = attrgetter("a", "b", "c", "d", "e", "f")
 
 
-def algebraic_residual(pixels, coef: EllipseCoefficients) -> float:
-    """Mean squared algebraic distance F(x, y)^2 over the pixels."""
-    _, _, f = _conic_at(pixels, coef)
-    return float(np.mean(f * f))
-
-
-def sampson_residual(pixels, coef: EllipseCoefficients) -> float:
+def sampson_residual(pixels, coef):
     """Mean squared gradient-weighted algebraic distance (approx. px^2).
 
     F / |grad F| approximates the geometric point-to-curve distance and is
-    scale-invariant, unlike the raw algebraic distance.
+    scale-invariant, unlike the raw algebraic distance.  `coef` may also
+    be a block: a list of K coefficients (or None), member k measured on
+    the first len(pixels) - K + 1 + k pixels, as for a run grown one pixel
+    per member.  A block is one (K, len(pixels)) pass and returns a list
+    of K residuals, None for a None member.  Each member's prefix row is
+    summed by `np.add.reduce`, as `np.mean` does, so it reads the same
+    value as alone.
     """
-    x, y, f = _conic_at(pixels, coef)
-    gx = 2.0 * coef.a * x + coef.b * y + coef.d
-    gy = 2.0 * coef.c * y + coef.b * x + coef.e
-    g2 = gx * gx + gy * gy
-    g2 = np.maximum(g2, 1e-12)
-    return float(np.mean(f * f / g2))
+    block = isinstance(coef, list)
+    coefs = coef if block else [coef]
+    pts = _as_points(pixels)
+    if not 0 < len(coefs) <= len(pts):
+        raise ValueError("a block needs 1 to len(pixels) members")
+    x, y = pts[:, 0], pts[:, 1]
+    # a (K, 1) column per coefficient; a None member is the zero conic, unread
+    a, b, c, d, e, f = np.array(
+        [(0.0,) * 6 if k is None else _COEFFICIENTS(k) for k in coefs]
+    ).T[:, :, None]
+    fx = a * x * x + b * x * y + c * y * y
+    fx = fx + d * x + e * y + f
+    gx = 2.0 * a * x + b * y + d
+    gy = 2.0 * c * y + b * x + e
+    rows = fx * fx / np.maximum(gx * gx + gy * gy, 1e-12)
+    first = len(pts) - len(coefs) + 1
+    out = [
+        None if k is None else float(np.add.reduce(row[: first + i]) / (first + i))
+        for i, (k, row) in enumerate(zip(coefs, rows))
+    ]
+    return out if block else out[0]
 
 
 def conic_to_geometric(coef: EllipseCoefficients):

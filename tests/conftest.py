@@ -7,6 +7,8 @@ breadth-first-search staircase prune, and the alignment oracle
 enumerates every monotone alignment.  The reference fits build float
 design matrices from the points, where the library reads exact integer
 moments, and the reference path walk rescans for endpoints on every path.
+The reference arc clustering grows each run one pixel per step, where the
+library evaluates blocks of candidate ends at once.
 """
 
 import itertools
@@ -23,12 +25,16 @@ from glyphcode import (
     EllipseArcCode,
     EllipseCoefficients,
     LineSegmentCode,
+    Moments,
     NumericalFitError,
     PointCode,
     PolarLine,
+    fit_ellipse,
 )
+from glyphcode.encoder import _arc_from_run, _walk_paths
+from glyphcode.geomfit import sampson_residual
 from glyphcode.matcher import element_match, element_subset
-from glyphcode.raster import neighbors
+from glyphcode.raster import components, neighbors, pixel_centroid
 
 # ---------------------------------------------------------------------------
 # brute-force polar line oracle
@@ -137,6 +143,27 @@ def reference_fit_ellipse(points):
     )
 
 
+def algebraic_residual(pixels, coef):
+    """Mean squared algebraic distance F(x, y)^2 over the pixels."""
+    pts = np.asarray(pixels, dtype=float)
+    x, y = pts[:, 0], pts[:, 1]
+    f = coef.a * x * x + coef.b * x * y + coef.c * y * y
+    f = f + coef.d * x + coef.e * y + coef.f
+    return float(np.mean(f * f))
+
+
+def reference_sampson_residual(pixels, coef):
+    """Mean of F^2 / |grad F|^2 over the pixels, one conic at a time."""
+    pts = np.asarray(pixels, dtype=float)
+    x, y = pts[:, 0], pts[:, 1]
+    f = coef.a * x * x + coef.b * x * y + coef.c * y * y
+    f = f + coef.d * x + coef.e * y + coef.f
+    gx = 2.0 * coef.a * x + coef.b * y + coef.d
+    gy = 2.0 * coef.c * y + coef.b * x + coef.e
+    g2 = np.maximum(gx * gx + gy * gy, 1e-12)
+    return float(np.mean(f * f / g2))
+
+
 def random_pixel_run(rng, min_len=5, max_len=60, span=500):
     """A self-avoiding 8-connected pixel run that tends to keep its heading."""
     steps = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy]
@@ -191,6 +218,88 @@ def reference_walk_paths(pixels):
             cur = nxt
         paths.append(path)
     return paths
+
+
+# ---------------------------------------------------------------------------
+# reference arc clustering: one fit and one Sampson test per grown pixel
+
+
+def _fit_or_none(m):
+    try:
+        return fit_ellipse(m)
+    except (DegenerateInputError, NumericalFitError):
+        return None
+
+
+def _join(a, b):
+    return a[0] + b[0], a[1] + b[1], np.concatenate((a[2], b[2]))
+
+
+def reference_cluster_ellipses(residual, cfg):
+    """`cluster_ellipses` growing each arc run one pixel per step, with a
+    fit and a Sampson test of its own for every step."""
+    arcs, leftovers = [], []
+    for comp in components(residual):
+        origin = (min(x for x, _ in comp), min(y for _, y in comp))
+        comp_arcs, comp_small = [], []
+        for path in _walk_paths(comp):
+            rows = Moments.prefix(path, 4, origin)
+            pts = np.array(path, dtype=float)
+            i, n = 0, len(path)
+            while i < n:
+                if n - i < 5:
+                    comp_small.append((path[i:], rows[n] - rows[i], pts[i:]))
+                    break
+                j = i + 5
+                coef = None
+                while j < n:
+                    grown = _fit_or_none(rows[j + 1] - rows[i])
+                    if grown and sampson_residual(pts[i : j + 1], grown) > cfg.e_res:
+                        break
+                    coef = grown
+                    j += 1
+                if j == i + 5:
+                    coef = _fit_or_none(rows[j] - rows[i])
+                run = (path[i:j], rows[j] - rows[i], pts[i:j])
+                code = _arc_from_run(run[0], coef)
+                if code is not None:
+                    comp_arcs.append((run, code))
+                else:
+                    comp_small.append(run)
+                i = j
+        merged_any = True
+        while merged_any and len(comp_arcs) > 1:
+            merged_any = False
+            for ia in range(len(comp_arcs)):
+                for ib in range(ia + 1, len(comp_arcs)):
+                    union = _join(comp_arcs[ia][0], comp_arcs[ib][0])
+                    coef = _fit_or_none(union[1])
+                    if (
+                        coef is not None
+                        and sampson_residual(union[2], coef) <= cfg.e_res
+                        and (code := _arc_from_run(union[0], coef)) is not None
+                    ):
+                        comp_arcs[ia] = (union, code)
+                        del comp_arcs[ib]
+                        merged_any = True
+                        break
+                if merged_any:
+                    break
+        for small in comp_small:
+            if comp_arcs:
+                sc = pixel_centroid(small[0])
+                nearest = min(
+                    range(len(comp_arcs)),
+                    key=lambda k: math.dist(sc, pixel_centroid(comp_arcs[k][0][0])),
+                )
+                merged = _join(comp_arcs[nearest][0], small)
+                code = _arc_from_run(merged[0], _fit_or_none(merged[1]))
+                if code is not None:
+                    comp_arcs[nearest] = (merged, code)
+                    continue
+            leftovers.append(frozenset(small[0]))
+        arcs.extend((code, frozenset(run[0])) for run, code in comp_arcs)
+    return arcs, leftovers
 
 
 # ---------------------------------------------------------------------------

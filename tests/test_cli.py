@@ -273,6 +273,14 @@ def test_recognize_corrupt_codebook(tmp_path, glyph_pbm):
     assert main(["recognize", str(glyph_pbm), str(bad)]) == EXIT_CODEBOOK
 
 
+def test_recognize_overflowing_skipped_exits_4(tmp_path, glyph_pbm, capsys):
+    book = tmp_path / "book.json"
+    save_codebook(Codebook("x", MatchTolerances()), book)
+    book.write_text(book.read_text().replace('"skipped": 0', '"skipped": 1e400'))
+    assert main(["recognize", str(glyph_pbm), str(book)]) == EXIT_CODEBOOK
+    assert "skipped" in capsys.readouterr().err
+
+
 def test_recognize_unmatched_is_ok(tmp_path, corpus_dir, tuned_config, capsys):
     book = tmp_path / "book.json"
     main(

@@ -2,6 +2,7 @@
 recognition, persistence."""
 
 import itertools
+import json
 import os
 import threading
 
@@ -363,11 +364,34 @@ def _saved_book(tmp_path, tolerances=TOL, entry=None, fingerprint=()):
     return path
 
 
-def test_load_rejects_empty_codes(tmp_path):
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        SubWordCode(()),
+        _seq(EllipseArcCode(NAN, 0.5, 0.3, 0.1, 0, 0, 90)),
+        _seq(EllipseArcCode(0.5, 0.5, 0.0, 0.0, 0, 0, 90)),
+        _seq(EllipseArcCode(0.5, 0.5, 0.3, -0.1, 0, 0, 90)),
+        _seq(EllipseArcCode(0.5, 0.5, 0.1, 0.3, 0, 0, 90)),
+        _seq(LineSegmentCode(0.1, 90, 0.8), EllipseArcCode(0.5, 0.5, 0.3, 0.1, 0, 0, INF)),
+        _seq(LineSegmentCode(0.1, 90, 0.0)),
+        _seq(LineSegmentCode(0.1, 90, -0.8)),
+        _seq(LineSegmentCode(INF, 90, 0.8)),
+        _seq(PointCode(0.5, NAN)),
+    ],
+    ids=[
+        "empty", "arc-nan-x0", "arc-zero-axes", "arc-negative-b", "arc-a-below-b",
+        "arc-inf-gamma", "line-zero-l", "line-negative-l", "line-inf-p", "point-nan",
+    ],
+)
+def test_load_rejects_bad_codes(tmp_path, code):
+    """Empty codes and primitives no encoder emits, as entry or fingerprint."""
     with pytest.raises(CodebookFormatError):
-        load_codebook(_saved_book(tmp_path, entry=SubWordCode(())))
+        load_codebook(_saved_book(tmp_path, entry=code))
     with pytest.raises(CodebookFormatError):
-        load_codebook(_saved_book(tmp_path, fingerprint=[SubWordCode(())]))
+        load_codebook(_saved_book(tmp_path, fingerprint=[code]))
 
 
 def test_load_rejects_wrong_dirs_length(tmp_path):
@@ -380,7 +404,7 @@ def test_load_rejects_wrong_dirs_length(tmp_path):
 def test_load_rejects_dirs_out_of_range(tmp_path):
     ok = SubWordCode((_el(PointCode(0, 0), (0, 7, 9)),))
     assert load_codebook(_saved_book(tmp_path, entry=ok)).entries
-    for dirs in ((42, -3, 7), (0, 8, 9), (-1, 9, 9)):
+    for dirs in ((42, -3, 7), (0, 8, 9), (-1, 9, 9), (1e400, 9, 9)):
         path = _saved_book(tmp_path, entry=SubWordCode((_el(PointCode(0, 0), dirs),)))
         with pytest.raises(CodebookFormatError):
             load_codebook(path)
@@ -391,6 +415,33 @@ def test_load_rejects_bad_tolerances(tmp_path, bad):
     path = _saved_book(tmp_path, tolerances=MatchTolerances(dalpha=bad))
     with pytest.raises(CodebookFormatError):
         load_codebook(path)
+
+
+def test_load_checks_skipped_and_flagged(tmp_path):
+    path = _saved_book(tmp_path)
+    good = json.loads(path.read_text())
+    good["flagged"] = [["vee", "isolated"], ["zig", "end"]]
+    path.write_text(json.dumps(good))
+    book = load_codebook(path)
+    assert book.flagged == [("vee", "isolated"), ("zig", "end")]
+    assert book.skipped == 0
+    for key, bad in [
+        ("skipped", "1e400"),
+        ("skipped", "-1"),
+        ("skipped", "1.5"),
+        ("skipped", "2.0"),
+        ("skipped", '"3"'),
+        ("skipped", "true"),
+        ("flagged", "[[1, 2], [3]]"),
+        ("flagged", '[["vee"]]'),
+        ("flagged", '[["vee", "isolated", "x"]]'),
+        ("flagged", '"vee"'),
+        ("flagged", '{"vee": "isolated"}'),
+    ]:
+        obj = dict(good, **{key: "@"})
+        path.write_text(json.dumps(obj).replace('"@"', bad))
+        with pytest.raises(CodebookFormatError):
+            load_codebook(path)
 
 
 def test_recognize_skips_empty_codes(demo_book):

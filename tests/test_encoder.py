@@ -1,11 +1,13 @@
 """Encoder: Freeman directions, decomposition, sub-word/word codes, JSON."""
 
+import gc
 import json
 import math
 import random
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,10 +29,16 @@ from glyphcode import (
     word_from_json,
     word_to_json,
 )
-from glyphcode import encoder, thin
+from glyphcode import encoder, segment, thin
 from glyphcode.encoder import _walk_paths, cluster_ellipses, extract_lines
 from glyphcode.render import DEMO_GLYPHS, render_glyph, render_word_image
-from conftest import random_blob, reference_walk_paths, sample_ellipse
+from conftest import (
+    random_blob,
+    random_pixel_run,
+    reference_cluster_ellipses,
+    reference_walk_paths,
+    sample_ellipse,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +352,42 @@ def test_walk_paths_matches_reference_walk():
     for img in images:
         pixels = thin(img).foreground()
         assert _walk_paths(pixels) == reference_walk_paths(pixels)
+
+
+def test_block_growth_matches_one_step_reference():
+    """Arc runs grown in blocks are the runs of one-pixel growth steps."""
+    rng = random.Random(31)
+    lines_cfg = EncoderConfig(dd=1.0, l_min=22.0, e_res=0.5)
+    residuals = [thin(random_blob(rng)).foreground() for _ in range(6)]
+    for _ in range(24):  # curvy and straight stretches, some touching
+        runs = [random_pixel_run(rng, 5, 80, 60) for _ in range(3)]
+        residuals.append(set().union(*runs))
+    for name in DEMO_GLYPHS:
+        for size in (60, 120):
+            bits = render_glyph(name, size).bits
+            for grow in range(4):  # dilated by 0-3 px
+                if grow:
+                    bits = ndimage.binary_dilation(bits, np.ones((3, 3), bool))
+                for stroke in segment(thin(BinaryRaster(bits))):
+                    residuals.append(extract_lines(stroke, lines_cfg)[1])
+    for e_res in (0.1, 0.5, 2.0):
+        cfg = EncoderConfig(dd=1.0, l_min=22.0, e_res=e_res)
+        for residual in residuals if e_res == 0.5 else residuals[:30]:
+            want = reference_cluster_ellipses(residual, cfg)
+            assert cluster_ellipses(residual, cfg) == want
+
+
+def test_encoding_leaves_no_reference_cycles():
+    """Cyclic garbage would make the collector run during later work."""
+    cfg = EncoderConfig(dd=1.0, l_min=22.0, e_res=0.5)
+    image = render_word_image(("oval", "jay", "zig"), 60)
+    gc.collect()
+    gc.disable()
+    try:
+        encode_word(image, cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_encoder_calls_the_names_the_benchmark_traces(monkeypatch):

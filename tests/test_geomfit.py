@@ -1,5 +1,6 @@
 """Geometric fitting: polar lines, ellipses, conic conversion, arc angles."""
 
+import itertools
 import math
 import random
 
@@ -21,13 +22,15 @@ from glyphcode import (
     point_line_distance,
     segment_extent,
 )
-from glyphcode.geomfit import algebraic_residual, line_residual
+from glyphcode.geomfit import line_residual, sampson_residual
 from conftest import (
+    algebraic_residual,
     grid_line_oracle,
     orthogonal_sse,
     random_pixel_run,
     reference_fit_ellipse,
     reference_fit_line,
+    reference_sampson_residual,
     sample_ellipse,
 )
 
@@ -377,3 +380,88 @@ def test_collinear_runs_are_degenerate():
             fit_ellipse(run)
         with pytest.raises(DegenerateInputError):
             fit_ellipse(Moments.of(run, 4, (x0, y0)))
+
+
+# ---------------------------------------------------------------------------
+# blocks: one stacked eig and one Sampson pass for many growing runs
+
+
+def _bits(coef):
+    return None if coef is None else [v.hex() for v in coef.as_array().tolist()]
+
+
+def _single_fit(m):
+    try:
+        return fit_ellipse(m), None
+    except (DegenerateInputError, NumericalFitError) as exc:
+        return None, type(exc)
+
+
+def _prefix_blocks():
+    """Per run: its float points and the moments of every prefix of it."""
+    rng = random.Random(19)
+    runs = _runs(480)
+    for _ in range(20):  # straight runs, collinear at every prefix
+        dx, dy = rng.choice([(1, 0), (0, 1), (1, 1), (2, 1), (1, -3)])
+        x0, y0 = rng.randint(0, 500), rng.randint(0, 500)
+        runs.append([(x0 + k * dx, y0 + k * dy) for k in range(rng.randint(5, 40))])
+    for run in runs:
+        origin = (min(x for x, _ in run), min(y for _, y in run))
+        rows = Moments.prefix(run, 4, origin)
+        prefixes = [rows[e] - rows[0] for e in range(1, len(rows))]
+        yield np.array(run, dtype=float), prefixes
+
+
+def test_stacked_eig_equals_single_eig_bitwise():
+    """The premise of block fits: numpy solves each matrix of a stack as
+    it would alone, real and complex spectra alike."""
+    rng = np.random.default_rng(5)
+    scales = rng.choice([1e-6, 1.0, 1e6], size=(500, 1, 1))
+    mats = rng.normal(size=(500, 3, 3)) * scales
+    w, v = np.linalg.eig(mats)
+    assert (w.imag != 0).any() and (w.imag == 0).all(axis=1).any()
+    for mat, wk, vk in zip(mats, w, v):
+        w1, v1 = np.linalg.eig(mat)
+        assert wk.tobytes() == w1.astype(complex).tobytes()
+        assert vk.tobytes() == v1.astype(complex).tobytes()
+
+
+def test_block_fits_equal_single_fits_bitwise():
+    outcomes = dict.fromkeys((None, DegenerateInputError, NumericalFitError), 0)
+    for _, block in _prefix_blocks():
+        singles = [_single_fit(m) for m in block]
+        want = [_bits(fit) for fit, _ in singles]
+        for _, reason in singles:
+            outcomes[reason] += 1
+        assert list(map(_bits, fit_ellipse(block))) == want
+        # a block of one is the single fit, and so is any sub-block
+        k = len(block) // 2
+        assert list(map(_bits, fit_ellipse(block[k : k + 1]))) == want[k : k + 1]
+        assert list(map(_bits, fit_ellipse(block[k:]))) == want[k:]
+    # every kind of member occurred: fitted, collinear or too few, no eigenvector
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_block_sampson_equals_single_sampson_bitwise():
+    compared = 0
+    for pts, block in itertools.islice(_prefix_blocks(), 0, None, 4):
+        fits = fit_ellipse(block)
+        got = sampson_residual(pts, fits)
+        assert len(got) == len(fits)
+        for m, (fit, value) in enumerate(zip(fits, got), start=1):
+            if fit is None:
+                assert value is None
+                continue
+            assert value.hex() == sampson_residual(pts[:m], fit).hex()
+            assert value.hex() == reference_sampson_residual(pts[:m], fit).hex()
+            compared += 1
+        # the tail of a block: its members end at the last points
+        got_tail = sampson_residual(pts, fits[-3:])
+        assert [v is None or v.hex() for v in got_tail] == [
+            v is None or v.hex() for v in got[-3:]
+        ]
+    assert compared >= 2_000
+    with pytest.raises(ValueError):
+        sampson_residual(pts[:2], fits[:3])
+    with pytest.raises(ValueError):
+        sampson_residual(pts, [])
