@@ -32,7 +32,8 @@ def line_demo(rng):
         for t, e in zip(ts, noise)
     ]
     line = fit_line(pts)
-    length, start, end = segment_extent(pts, line)
+    lo, hi = segment_extent(pts, line)  # projections onto the line's direction
+    length = hi - lo
     rms = math.sqrt(
         sum(point_line_distance(q, line) ** 2 for q in pts) / len(pts)
     )

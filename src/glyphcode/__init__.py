@@ -61,8 +61,6 @@ from .matcher import (
     freeman_sum,
     line_equiv,
     line_subset,
-    point_equiv,
-    point_subset,
     sequence_equiv,
     sequence_subset,
 )

@@ -92,11 +92,11 @@ def cmd_fit(args) -> int:
     try:
         if args.kind in ("line", "both"):
             line = geomfit.fit_line(pixels)
-            length, start, end = geomfit.segment_extent(pixels, line)
+            lo, hi = geomfit.segment_extent(pixels, line)
             result["line"] = {
                 "p": line.p,
                 "alpha": line.alpha,
-                "l": length,
+                "l": hi - lo,
                 "residual": geomfit.line_residual(pixels, line),
             }
         if args.kind in ("ellipse", "both"):

@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from .config import TOLERANCE_KEYS
 from .encoder import (
@@ -420,25 +420,10 @@ def _tol_from_obj(obj) -> MatchTolerances:
     return MatchTolerances(**vals)
 
 
-def _emittable(code) -> bool:
-    """Whether the encoder can emit the primitive: finite parameters,
-    lines of positive length, arcs with a >= b > 0."""
-    if not all(map(math.isfinite, astuple(code))):
-        return False
-    if isinstance(code, LineSegmentCode):
-        return code.l > 0
-    if isinstance(code, EllipseArcCode):
-        return code.a >= code.b > 0
-    return True
-
-
 def _code_from_obj(obj) -> SubWordCode:
     code = subword_from_obj(obj)
     if not code.elements:
         raise ValueError("empty code")
-    for el in code.elements:
-        if not _emittable(el.code):
-            raise ValueError(f"no encoder emits {el.code}")
     return code
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import astuple, dataclass, fields, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .geomfit import (
     LineSegmentCode,
     Moments,
     NonEllipseError,
+    PolarLine,
     arc_angles,
     conic_to_geometric,
     fit_ellipse,
@@ -225,11 +227,12 @@ def extract_lines(stroke: Stroke, cfg: EncoderConfig):
     refitting after every append.  Runs whose projected extent exceeds
     `l_min` are kept as segments and claim their pixels (the terminating
     corner pixel stays with the just-closed run); everything else ends up
-    in the residual set.
+    in the residual set.  A kept run carries its line and extent to
+    `_absorb_stray_pixels`.
     """
     if not stroke.pixels:
         raise ValueError("stroke must be nonempty")
-    claimed: list[tuple[LineSegmentCode, frozenset]] = []
+    claimed: list[tuple[PolarLine, set, tuple[float, float]]] = []
     residual: set[tuple[int, int]] = set()
     for path in _walk_paths(stroke.pixels):
         rows = Moments.prefix(path)  # path[i:j] has moments rows[j] - rows[i]
@@ -253,18 +256,18 @@ def extract_lines(stroke: Stroke, cfg: EncoderConfig):
                 if j - i > 2:  # cut to two pixels, the run keeps its 3-pixel fit
                     line = fit_line(rows[j] - rows[i])
             run = path[i:j]
-            length, _, _ = segment_extent(run, line)
-            if length > cfg.l_min:
-                claimed.append((line, set(run)))
+            lo, hi = segment_extent(run, line)
+            if hi - lo > cfg.l_min:
+                claimed.append((line, set(run), (lo, hi)))
             else:
                 residual.update(run)
             i = j
     _absorb_stray_pixels(claimed, residual, cfg)
     out = []
-    for line, run in claimed:
+    for _, run, _ in claimed:
         line = fit_line(Moments.of(run))
-        length, _, _ = segment_extent(run, line)
-        out.append((LineSegmentCode(line.p, line.alpha, length), frozenset(run)))
+        lo, hi = segment_extent(run, line)
+        out.append((LineSegmentCode(line.p, line.alpha, hi - lo), frozenset(run)))
     return out, residual
 
 
@@ -273,27 +276,22 @@ def _absorb_stray_pixels(claimed, residual, cfg: EncoderConfig) -> None:
 
     Thinning leaves occasional pixels parallel to a digital line; the
     path walk strands them.  A residual pixel 8-adjacent to a claimed run
-    is absorbed when it lies within `dd` of the run's line and inside the
-    run's projected extent (so runs never creep along their own axis).
+    is absorbed when it lies within `dd` of the run's line and within 0.5
+    px of the run's projected extent as it was claimed (so runs never
+    creep along their own axis).
     """
-    bounds = []
-    for line, run in claimed:
-        a = math.radians(line.alpha)
-        dx, dy = -math.sin(a), math.cos(a)
-        ts = [px * dx + py * dy for px, py in run]
-        bounds.append((line, dx, dy, min(ts) - 0.5, max(ts) + 0.5))
     changed = True
     while changed:
         changed = False
         for p in sorted(residual, key=_rowmajor):
-            for k, (line, run) in enumerate(claimed):
+            for line, run, (lo, hi) in claimed:
                 if not neighbors(p, run):
                     continue
-                line_k, dx, dy, tlo, thi = bounds[k]
-                if point_line_distance(p, line_k) > cfg.dd:
+                if point_line_distance(p, line) > cfg.dd:
                     continue
-                t = p[0] * dx + p[1] * dy
-                if not tlo <= t <= thi:
+                a = math.radians(line.alpha)
+                t = p[0] * -math.sin(a) + p[1] * math.cos(a)  # as lo, hi were
+                if not lo - 0.5 <= t <= hi + 0.5:
                     continue
                 run.add(p)
                 residual.discard(p)
@@ -324,9 +322,7 @@ def _arc_from_run(run, coef: EllipseCoefficients | None) -> EllipseArcCode | Non
     ]
     _, k = max(gaps)
     start, end = by_angle[(k + 1) % len(by_angle)], by_angle[k]
-    if start == end:
-        return None
-    try:
+    try:  # raises on a one-pixel run too, where start == end
         beta, gamma = arc_angles(geo, start, end)
     except DegenerateInputError:
         return None
@@ -344,6 +340,17 @@ _FIRST_BLOCK = 4
 def _join(a, b):
     """Two runs (pixels, moments, float pixels) as one."""
     return a[0] + b[0], a[1] + b[1], np.concatenate((a[2], b[2]))
+
+
+def _merged_arc(a, b, cfg: EncoderConfig):
+    """The union of two runs with its arc code, if one ellipse fits it
+    within `e_res`; otherwise None."""
+    union = _join(a, b)
+    coef = fit_ellipse([union[1]])[0]
+    if coef is None or sampson_residual(union[2], coef) > cfg.e_res:
+        return None
+    code = _arc_from_run(union[0], coef)
+    return None if code is None else (union, code)
 
 
 def cluster_ellipses(residual, cfg: EncoderConfig):
@@ -413,25 +420,18 @@ def cluster_ellipses(residual, cfg: EncoderConfig):
                     comp_small.append(run)
                 i = j
         # incremental growth is brittle on shallow partial arcs: re-join
-        # runs whenever their union still fits a single ellipse well
-        merged_any = True
-        while merged_any and len(comp_arcs) > 1:
-            merged_any = False
-            for ia in range(len(comp_arcs)):
-                for ib in range(ia + 1, len(comp_arcs)):
-                    union = _join(comp_arcs[ia][0], comp_arcs[ib][0])
-                    coef = fit_ellipse([union[1]])[0]
-                    if (
-                        coef is not None
-                        and sampson_residual(union[2], coef) <= cfg.e_res
-                        and (code := _arc_from_run(union[0], coef)) is not None
-                    ):
-                        comp_arcs[ia] = (union, code)
-                        del comp_arcs[ib]
-                        merged_any = True
-                        break
-                if merged_any:
-                    break
+        # runs, first pair first, while a union still fits a single ellipse
+        while hit := next(
+            (
+                (ia, ib, merged)
+                for ia, ib in combinations(range(len(comp_arcs)), 2)
+                if (merged := _merged_arc(comp_arcs[ia][0], comp_arcs[ib][0], cfg))
+            ),
+            None,
+        ):
+            ia, ib, merged = hit
+            comp_arcs[ia] = merged
+            del comp_arcs[ib]
         # merge undersized runs into the nearest accepted run in the component
         for small in comp_small:
             if comp_arcs:
@@ -455,7 +455,7 @@ def encode_stroke(stroke: Stroke, cfg: EncoderConfig) -> SubWordCode:
     if len(stroke.pixels) <= cfg.dot_max:
         cx, cy = stroke.centroid
         return SubWordCode(
-            (CodedElement(PointCode(cx, cy), (9, 9, 9), (cx, cy)),)
+            (CodedElement(PointCode(cx, cy), (FREEMAN_NULL,) * 3, (cx, cy)),)
         )
     segments, residual = extract_lines(stroke, cfg)
     arcs, leftovers = cluster_ellipses(residual, cfg)
@@ -534,17 +534,26 @@ _KIND_BY_ARITY = {
 
 
 def _primitive_from_obj(obj):
+    """A primitive the encoder can emit: finite parameters, lines of
+    positive length, arcs with a >= b > 0."""
     vals = [float(v) for v in obj]
     if len(vals) not in _KIND_BY_ARITY:
         raise ValueError(f"primitive arity {len(vals)} not recognized")
-    return _KIND_BY_ARITY[len(vals)](*vals)
+    code = _KIND_BY_ARITY[len(vals)](*vals)
+    if not (
+        all(map(math.isfinite, vals))
+        and (not isinstance(code, LineSegmentCode) or code.l > 0)
+        and (not isinstance(code, EllipseArcCode) or code.a >= code.b > 0)
+    ):
+        raise ValueError(f"no encoder emits {code}")
+    return code
 
 
 def _dirs_from_obj(obj) -> tuple[int, int, int]:
-    dirs = tuple(int(d) for d in obj)
-    if len(dirs) != 3 or not all(0 <= d <= 7 or d == FREEMAN_NULL for d in dirs):
+    dirs = tuple(obj)
+    if len(dirs) != 3 or not all(d in range(8) or d == FREEMAN_NULL for d in dirs):
         raise ValueError(f"Freeman directions must be three of 0-7 or 9, got {obj!r}")
-    return dirs
+    return tuple(map(int, dirs))
 
 
 def subword_to_obj(code: SubWordCode):

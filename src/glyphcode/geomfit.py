@@ -251,28 +251,15 @@ def point_line_distance(pt, line: PolarLine) -> float:
     return abs(pt[0] * math.cos(a) + pt[1] * math.sin(a) - line.p)
 
 
-def segment_extent(pixels, line: PolarLine):
-    """Extent of the pixels projected onto the line.
-
-    Returns (l, start, end) where l is the max-min projection spread and
-    start/end are the extreme pixels; start is the row-major earlier of the
-    two (ties among equal projections broken row-major as well).
-    """
+def segment_extent(pixels, line: PolarLine) -> tuple[float, float]:
+    """Extent (lo, hi) of the pixels projected onto the line's direction;
+    hi - lo is the segment length."""
     pts = _as_points(pixels)
     if len(pts) < 2:
         raise DegenerateInputError("need at least 2 pixels")
     a = math.radians(line.alpha)
-    dx, dy = -math.sin(a), math.cos(a)
-    t = pts[:, 0] * dx + pts[:, 1] * dy
-    order = np.lexsort((pts[:, 0], pts[:, 1]))  # row-major tie-break
-    lo = order[np.argmin(t[order])]
-    hi = order[np.argmax(t[order])]
-    l = float(t[hi] - t[lo])
-    p_lo = (float(pts[lo, 0]), float(pts[lo, 1]))
-    p_hi = (float(pts[hi, 0]), float(pts[hi, 1]))
-    if (p_hi[1], p_hi[0]) < (p_lo[1], p_lo[0]):
-        p_lo, p_hi = p_hi, p_lo
-    return l, p_lo, p_hi
+    t = pts[:, 0] * -math.sin(a) + pts[:, 1] * math.cos(a)
+    return float(t.min()), float(t.max())
 
 
 def fit_ellipse(pixels):
@@ -294,47 +281,41 @@ def fit_ellipse(pixels):
     matrix as a call of its own would, so a member fits bit for bit as
     it does alone.
     """
-    block = isinstance(pixels, list) and bool(pixels) and isinstance(pixels[0], Moments)
-    fits = _fit_block(pixels if block else [pixels])
-    if block:
-        return [f if isinstance(f, EllipseCoefficients) else None for f in fits]
-    if isinstance(fits[0], Exception):
-        raise fits[0]
-    return fits[0]
+    if isinstance(pixels, list) and pixels and isinstance(pixels[0], Moments):
+        return _fit_block(
+            [_reduced_system(m) if m.sums[0] >= 5 else None for m in pixels]
+        )
+    system = _reduced_system(_moments(pixels, 4, 5))
+    if system is None:
+        raise DegenerateInputError("pixels are collinear")
+    (fit,) = _fit_block([system])
+    if fit is None:
+        raise NumericalFitError("no eigenvector satisfies the ellipse constraint")
+    return fit
 
 
-def _fit_block(block) -> list:
-    """Each member's `EllipseCoefficients`, or the error that stops its fit.
-
-    The errors are kept without their tracebacks: a traceback holds this
-    frame, whose `fits` holds the error, a cycle only the collector frees.
-    """
-    fits = []
-    for member in block:
-        try:
-            fits.append(_reduced_system(_moments(member, 4, 5)))
-        except DegenerateInputError as exc:
-            fits.append(exc.with_traceback(None))
-    solvable = [k for k, fit in enumerate(fits) if isinstance(fit, tuple)]
+def _fit_block(systems) -> list:
+    """The `EllipseCoefficients` of each reduced system, None where the
+    system is None or no eigenvector meets the constraint."""
+    fits = [None] * len(systems)
+    solvable = [k for k, system in enumerate(systems) if system is not None]
     if not solvable:
         return fits
-    eigvals, eigvecs = np.linalg.eig(np.array([fits[k][0] for k in solvable]))
+    eigvals, eigvecs = np.linalg.eig(np.array([systems[k][0] for k in solvable]))
     for k, lams, imags, vecs in zip(
         solvable,
         eigvals.real.tolist(),
         eigvals.imag.tolist(),
         eigvecs.real.transpose(0, 2, 1).tolist(),  # rows are eigenvectors
     ):
-        try:
-            fits[k] = _conic_from_eigen(fits[k][1], lams, imags, vecs)
-        except NumericalFitError as exc:
-            fits[k] = exc.with_traceback(None)
+        fits[k] = _conic_from_eigen(systems[k][1], lams, imags, vecs)
     return fits
 
 
 def _reduced_system(m: Moments):
     """The reduced matrix C1^-1 (S1 + S2 t) of the moments, rounded once,
-    and what `_conic_from_eigen` needs to finish the fit."""
+    and what `_conic_from_eigen` needs to finish the fit; None when the
+    moments are collinear."""
     if len(m.sums) < 15:
         raise ValueError("fit_ellipse needs moments of degree 4")
     n = m.sums[0]
@@ -342,7 +323,7 @@ def _reduced_system(m: Moments):
     det = d20 * d02 - d11 * d11
     # exact zero for integer pixels; rounding leaves collinear floats a sliver
     if det <= 1e-18 * (d20 + d02) ** 2:
-        raise DegenerateInputError("pixels are collinear")
+        return None
     # The blocks about the centroid, each central sum scaled by n^(i+j-1)
     # so that it stays an integer: S1 is the scatter of q = (x^2, xy, y^2),
     # S2 = [gx gy g1] its cross-scatter with (x, y, 1), and S3 is the 2x2
@@ -363,9 +344,9 @@ def _reduced_system(m: Moments):
     return mat, (m, n, det, tx, ty, g1)
 
 
-def _conic_from_eigen(setup, lams, imags, vecs) -> EllipseCoefficients:
+def _conic_from_eigen(setup, lams, imags, vecs) -> EllipseCoefficients | None:
     """The ellipse picked from the reduced matrix's eigenpairs, in page
-    coordinates."""
+    coordinates; None when no eigenvector meets the constraint."""
     m, n, det, tx, ty, g1 = setup
     floor = 1e-12 * max(map(abs, lams))
     # real eigenvectors inside the ellipse constraint, 4ac - b^2 > 0
@@ -381,7 +362,7 @@ def _conic_from_eigen(setup, lams, imags, vecs) -> EllipseCoefficients:
     key = itemgetter(0)  # the eigenvalue
     best = min(above, key=key) if above else max(found, key=key, default=None)
     if best is None:
-        raise NumericalFitError("no eigenvector satisfies the ellipse constraint")
+        return None
     _, a1, cond = best
     a1 = [v / math.sqrt(cond) for v in a1]  # enforce 4ac - b^2 = 1
     if a1[0] + a1[2] < 0:

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .encoder import (
+    FREEMAN_NULL,
     CodedElement,
     EllipseArcCode,
     LineSegmentCode,
@@ -30,8 +31,6 @@ __all__ = [
     "line_subset",
     "arc_equiv",
     "arc_subset",
-    "point_equiv",
-    "point_subset",
     "primitive_equiv",
     "primitive_subset",
     "freeman_sum",
@@ -151,24 +150,14 @@ def arc_subset(i: EllipseArcCode, j: EllipseArcCode, t: MatchTolerances) -> bool
     return u >= -t.dbeta and u + span_i <= span_j + t.dgamma
 
 
-def point_equiv(i: PointCode, j: PointCode, t: MatchTolerances) -> bool:
-    return True  # dots are position-independent, like all primitives
-
-
-def point_subset(i: PointCode, j: PointCode, t: MatchTolerances) -> bool:
+def _points(i: PointCode, j: PointCode, t: MatchTolerances) -> bool:
+    """Equivalence and subset of dots alike: positions are ignored, as for
+    every primitive, so two dots always relate."""
     return True
 
 
-_EQUIV = {
-    LineSegmentCode: line_equiv,
-    EllipseArcCode: arc_equiv,
-    PointCode: point_equiv,
-}
-_SUBSET = {
-    LineSegmentCode: line_subset,
-    EllipseArcCode: arc_subset,
-    PointCode: point_subset,
-}
+_EQUIV = {LineSegmentCode: line_equiv, EllipseArcCode: arc_equiv, PointCode: _points}
+_SUBSET = {LineSegmentCode: line_subset, EllipseArcCode: arc_subset, PointCode: _points}
 
 
 def primitive_equiv(i, j, t: MatchTolerances) -> bool:
@@ -184,19 +173,19 @@ def freeman_sum(dirs) -> int:
     """Direction of the vector sum of the codes' unit vectors; 9 if null."""
     sx = sy = 0.0
     for d in dirs:
-        if d == 9:
+        if d == FREEMAN_NULL:
             continue
         ang = math.radians(45.0 * d)
         sx += math.cos(ang)
         sy -= math.sin(ang)  # screen coordinates: y grows down
     if math.hypot(sx, sy) < 1e-9:
-        return 9
+        return FREEMAN_NULL
     return freeman_direction((0.0, 0.0), (sx, sy))
 
 
 def _dirs_subset(probe_dirs, target_dirs) -> bool:
     """Direction agreement with 9-wildcard on the probe side."""
-    return all(p == 9 or p == q for p, q in zip(probe_dirs, target_dirs))
+    return all(p == FREEMAN_NULL or p == q for p, q in zip(probe_dirs, target_dirs))
 
 
 def element_equiv(ci: CodedElement, cj: CodedElement, t: MatchTolerances) -> bool:
@@ -222,7 +211,7 @@ def element_match(ci: CodedElement, dseq, q: int, k: int, t: MatchTolerances) ->
     if not primitive_subset(ci.code, dseq[q + k].code, t):
         return False
     for j in range(3):
-        if ci.dirs[j] == 9:
+        if ci.dirs[j] == FREEMAN_NULL:
             continue
         summed = freeman_sum(dseq[q + r].dirs[j] for r in range(1, k + 1))
         if ci.dirs[j] != summed:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 
 from .encoder import (
+    FREEMAN_NULL,
     EllipseArcCode,
     LineSegmentCode,
     PointCode,
@@ -94,12 +95,15 @@ def _stroke_points(stroke, size: float, offset=(0.0, 0.0)):
     return pts
 
 
+def _ink(strokes, size: float, offset) -> set[tuple[int, int]]:
+    """The pixels the strokes cover, drawn at the nominal size from `offset`."""
+    points = [p for stroke in strokes for p in _stroke_points(stroke, size, offset)]
+    return {(round(x), round(y)) for x, y in points}
+
+
 def rasterize_strokes(strokes, size: int, margin: int = 2) -> BinaryRaster:
     """Draw the strokes at the given nominal size onto a fresh raster."""
-    pixels = set()
-    for stroke in strokes:
-        for x, y in _stroke_points(stroke, size, (margin, margin)):
-            pixels.add((int(round(x)), int(round(y))))
+    pixels = _ink(strokes, size, (margin, margin))
     w = size + 2 * margin + 1
     h = size + 2 * margin + 1
     return BinaryRaster.from_pixels(pixels, w, h)
@@ -118,9 +122,7 @@ def render_word_image(names, size: int, gap: float = 0.35, margin: int = 2):
     pixels = set()
     for gi, name in enumerate(names):
         ox = margin + gi * (1.0 + gap) * size
-        for stroke in DEMO_GLYPHS[name]:
-            for x, y in _stroke_points(stroke, size, (ox, margin)):
-                pixels.add((int(round(x)), int(round(y))))
+        pixels |= _ink(DEMO_GLYPHS[name], size, (ox, margin))
     w = int(margin + len(names) * (1.0 + gap) * size) + margin + 1
     h = size + 2 * margin + 1
     return BinaryRaster.from_pixels(pixels, w, h)
@@ -198,7 +200,7 @@ def svg_overlay(word: WordCode, skeleton: BinaryRaster) -> str:
             parts.append(_DRAW[type(el.code)](el.code, el.anchor))
             if el.anchor is not None:
                 for j, d in enumerate(el.dirs):
-                    if d == 9:
+                    if d == FREEMAN_NULL:
                         continue
                     ang = math.radians(45.0 * d)
                     ax, ay = el.anchor

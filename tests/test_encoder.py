@@ -22,14 +22,18 @@ from glyphcode import (
     WordCode,
     encode_stroke,
     encode_word,
+    fit_line,
     freeman_direction,
     neighbor_directions,
     order_strokes,
+    point_line_distance,
     scale_word,
+    segment_extent,
     word_from_json,
     word_to_json,
 )
 from glyphcode import encoder, segment, thin
+from glyphcode.raster import neighbors
 from glyphcode.encoder import _walk_paths, cluster_ellipses, extract_lines
 from glyphcode.render import DEMO_GLYPHS, render_glyph, render_word_image
 from conftest import (
@@ -166,6 +170,41 @@ def test_extract_lines_claimed_within_dd():
     for code, pixels in segs:
         line = PolarLine(code.p, code.alpha)
         assert all(point_line_distance(p, line) <= cfg.dd + 1e-9 for p in pixels)
+
+
+def _polyline(*corners):
+    """8-connected pixels along straight pieces between the corners."""
+    pixels = [corners[0]]
+    for (x0, y0), (x1, y1) in zip(corners, corners[1:]):
+        n = max(abs(x1 - x0), abs(y1 - y0))
+        pixels += [
+            (x0 + round((x1 - x0) * k / n), y0 + round((y1 - y0) * k / n))
+            for k in range(1, n + 1)
+        ]
+    return pixels
+
+
+@pytest.mark.parametrize(
+    "end, stray, absorbed", [((18, -1), (8, 3), True), ((16, 8), (13, 3), False)]
+)
+def test_extract_lines_absorbs_strays_within_half_a_pixel_of_the_extent(
+    end, stray, absorbed
+):
+    """The walk strands `stray` beside one straight run, within `dd` of its
+    line and past the last pixel's projection; it joins the run when it
+    projects within 0.5 px of the run's extent, and stays residual past
+    that."""
+    cfg = EncoderConfig(dd=1.2, l_min=4.0)
+    stroke = Stroke(tuple(_polyline((0, 0), (10, 2), end) + [stray]))
+    segs, residual = extract_lines(stroke, cfg)
+    (run,) = [sorted(px - {stray}) for _, px in segs if neighbors(stray, px)]
+    line = fit_line(run)  # exact moments: the line the run was claimed with
+    lo, hi = segment_extent(run, line)
+    t = segment_extent([stray, stray], line)[0]
+    assert point_line_distance(stray, line) <= cfg.dd
+    assert hi < t <= hi + 0.5 if absorbed else hi + 0.5 < t < hi + 1
+    assert (stray in residual) is not absorbed
+    assert residual == (set() if absorbed else {stray})
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +474,30 @@ def test_word_json_roundtrip():
             for c1, c2 in zip(e1.code.elements, e2.code.elements):
                 assert c1.dirs == c2.dirs
                 assert isinstance(c2.code, type(c1.code))
+
+
+@pytest.mark.parametrize(
+    "code, dirs",
+    [
+        ([float("nan"), 5.0, 4.0, 2.0, 0.0, 10.0, 200.0], [9, 9, 9]),
+        ([20.0, 20.0, 2.0, 4.0, 0.0, 10.0, 200.0], [9, 9, 9]),
+        ([3.0, 90.0, 0.0], [9, 9, 9]),
+        ([float("inf"), 2.0], [9, 9, 9]),
+        ([3.0, 4.0], [1e400, 9, 9]),
+        ([3.0, 4.0], [2.5, 9, 9]),
+        ([3.0, 4.0], [8, 9, 9]),
+    ],
+    ids=[
+        "arc-nan-x0", "arc-a-below-b", "line-zero-l", "point-inf",
+        "dir-overflow", "dir-fraction", "dir-8",
+    ],
+)
+def test_word_from_json_rejects_what_no_encoder_emits(code, dirs):
+    """word_from_json checks primitives as load_codebook does, and raises
+    ValueError for every bad value."""
+    obj = [{"elements": [{"code": code, "dirs": dirs}], "dirs": [9, 9, 9]}]
+    with pytest.raises(ValueError):
+        word_from_json(json.dumps(obj))
 
 
 def test_json_schema_shapes():

@@ -130,16 +130,17 @@ def test_point_line_distance_examples():
 def test_segment_extent_examples():
     from glyphcode import PolarLine
 
-    l, start, end = segment_extent([(0, 3), (2, 3)], PolarLine(3, 90))
-    assert (l, start, end) == (pytest.approx(2.0), (0, 3), (2, 3))
+    # the direction of the line with normal angle 90 points along -x
+    lo, hi = segment_extent([(0, 3), (2, 3)], PolarLine(3, 90))
+    assert (lo, hi) == (pytest.approx(-2.0), pytest.approx(0.0))
 
     pts = [(0, 0), (3, 4)]
-    l2, _, _ = segment_extent(pts, fit_line(pts))
-    assert l2 == pytest.approx(5.0)
+    lo, hi = segment_extent(pts, fit_line(pts))
+    assert hi - lo == pytest.approx(5.0)
 
     pts = [(0, 0), (1, 0), (1, 0)]
-    l3, _, _ = segment_extent(pts, fit_line(pts))
-    assert l3 == pytest.approx(1.0)
+    lo, hi = segment_extent(pts, fit_line(pts))
+    assert hi - lo == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

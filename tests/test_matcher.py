@@ -21,8 +21,6 @@ from glyphcode import (
     freeman_sum,
     line_equiv,
     line_subset,
-    point_equiv,
-    point_subset,
     sequence_equiv,
     sequence_subset,
 )
@@ -99,8 +97,8 @@ def test_arc_phi_representation_flip():
 
 
 def test_point_relations():
-    assert point_equiv(PointCode(3, 4), PointCode(90, 2), T)
-    assert point_subset(PointCode(3, 4), PointCode(3, 4), T)
+    assert primitive_equiv(PointCode(3, 4), PointCode(90, 2), T)
+    assert primitive_subset(PointCode(3, 4), PointCode(3, 4), T)
 
 
 def test_cross_kind_false():
