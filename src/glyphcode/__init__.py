@@ -11,7 +11,6 @@ from .raster import (
     RasterFormatError,
     Stroke,
     binarize,
-    centroid,
     load_image,
     read_netpbm,
     segment,

@@ -1,9 +1,9 @@
 """Command-line surface for the shape-coding pipeline.
 
 Commands: thin, segment, encode, fit, build-codebook, recognize,
-identify-font.  Exit codes: 0 success, 2 input/config parse error,
-3 corpus error, 4 codebook error.  Results go to stdout, diagnostics to
-stderr.
+identify-font.  Exit codes: 0 success, 2 input, output or config error,
+3 corpus error, 4 codebook error; `main` alone maps exceptions to them.
+Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -34,29 +34,16 @@ class CommandError(Exception):
 
 
 def _load_engine_config(args) -> cfgmod.EngineConfig:
-    try:
-        cfg = cfgmod.load_config(args.config) if args.config else cfgmod.EngineConfig()
-    except (OSError, ValueError) as exc:
-        raise CommandError(EXIT_PARSE, str(exc)) from exc
+    cfg = cfgmod.load_config(args.config) if args.config else cfgmod.EngineConfig()
     if args.threshold is not None:
         cfg = replace(cfg, threshold=args.threshold)
     return cfg
 
 
 def _read_input(args):
-    """The engine config and the input raster; exit 2 when either fails."""
+    """The engine config and the input raster."""
     cfg = _load_engine_config(args)
-    try:
-        return cfg, raster.load_image(args.input, cfg.threshold)
-    except (OSError, ValueError) as exc:
-        raise CommandError(EXIT_PARSE, str(exc)) from exc
-
-
-def _load_books(paths):
-    try:
-        return [cb.load_codebook(p) for p in paths]
-    except cb.CodebookFormatError as exc:
-        raise CommandError(EXIT_CODEBOOK, str(exc)) from exc
+    return cfg, raster.load_image(args.input, cfg.threshold)
 
 
 def _read_word(args) -> encoder.WordCode:
@@ -89,30 +76,26 @@ def cmd_fit(args) -> int:
     cfg, image = _read_input(args)
     pixels = image.foreground()
     result = {}
-    try:
-        if args.kind in ("line", "both"):
-            line = geomfit.fit_line(pixels)
-            lo, hi = geomfit.segment_extent(pixels, line)
-            result["line"] = {
-                "p": line.p,
-                "alpha": line.alpha,
-                "l": hi - lo,
-                "residual": geomfit.line_residual(pixels, line),
-            }
-        if args.kind in ("ellipse", "both"):
-            coef = geomfit.fit_ellipse(pixels)
-            x0, y0, a, b, phi = geomfit.conic_to_geometric(coef)
-            result["ellipse"] = {
-                "x0": x0,
-                "y0": y0,
-                "a": a,
-                "b": b,
-                "phi": phi,
-                "coefficients": list(coef.as_array()),
-            }
-    except (geomfit.DegenerateInputError, geomfit.NumericalFitError,
-            geomfit.NonEllipseError) as exc:
-        raise CommandError(EXIT_PARSE, f"fit failed: {exc}") from exc
+    if args.kind in ("line", "both"):
+        line = geomfit.fit_line(pixels)
+        lo, hi = geomfit.segment_extent(pixels, line)
+        result["line"] = {
+            "p": line.p,
+            "alpha": line.alpha,
+            "l": hi - lo,
+            "residual": geomfit.line_residual(pixels, line),
+        }
+    if args.kind in ("ellipse", "both"):
+        coef = geomfit.fit_ellipse(pixels)
+        x0, y0, a, b, phi = geomfit.conic_to_geometric(coef)
+        result["ellipse"] = {
+            "x0": x0,
+            "y0": y0,
+            "a": a,
+            "b": b,
+            "phi": phi,
+            "coefficients": list(coef.as_array()),
+        }
     print(json.dumps(result, indent=1))
     if args.svg:
         word = encoder.encode_word(image, cfg.encoder)
@@ -150,7 +133,7 @@ def cmd_build_codebook(args) -> int:
             font=args.font,
         )
     except raster.RasterFormatError as exc:
-        raise CommandError(EXIT_CORPUS, f"malformed corpus raster: {exc}") from exc
+        raise CommandError(EXIT_CORPUS, f"bad corpus raster: {exc}") from exc
     if not book.entries and not book.flagged:
         raise CommandError(EXIT_CORPUS, "corpus produced no codebook entries")
     cb.build_fingerprints([book])
@@ -163,7 +146,7 @@ def cmd_build_codebook(args) -> int:
 
 
 def cmd_recognize(args) -> int:
-    (book,) = _load_books([args.codebook])
+    book = cb.load_codebook(args.codebook)
     word = _read_word(args)
     for glyph, position, (si, off) in cb.recognize(word, book, book.tolerances):
         print(f"{glyph}\t{position}\t{si}\t{off}")
@@ -171,7 +154,7 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_identify_font(args) -> int:
-    books = _load_books(args.codebooks)
+    books = [cb.load_codebook(p) for p in args.codebooks]
     word = _read_word(args)
     name = cb.identify_font(word, books, books[0].tolerances)
     print(name if name else "unknown")
@@ -244,9 +227,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CommandError as exc:
+    except (CommandError, OSError, ValueError, geomfit.NumericalFitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        if isinstance(exc, CommandError):
+            return exc.code
+        return EXIT_CODEBOOK if isinstance(exc, cb.CodebookFormatError) else EXIT_PARSE
 
 
 if __name__ == "__main__":

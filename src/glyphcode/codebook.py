@@ -260,8 +260,8 @@ def build_codebook(
 ) -> Codebook:
     """Encode a rendered corpus and isolate per-(glyph, position) codes.
 
-    Missing rasters are skipped (counted), and a malformed one raises
-    RasterFormatError naming its file.  Glyphs whose containing specs
+    Missing rasters are skipped (counted), and a malformed or unreadable
+    one raises RasterFormatError naming its file.  Glyphs whose containing specs
     share no common code are flagged instead of entered.  `table` is
     accepted and unused: the specs come from the corpus directory names.
     """
@@ -285,7 +285,7 @@ def build_codebook(
                     continue
                 try:
                     image = load_image(path)
-                except RasterFormatError as exc:
+                except (RasterFormatError, OSError) as exc:
                     raise RasterFormatError(f"{path}: {exc}") from exc
                 word = encode_word(image, cfg)
                 codes.append(_flatten(word))
@@ -466,14 +466,21 @@ def load_codebook(path) -> Codebook:
     try:
         if obj["schema_version"] != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {obj['schema_version']!r}")
+        if not isinstance(obj["font"], str):
+            raise ValueError(f"font must be a string: {obj['font']!r}")
         book = Codebook(
             font=obj["font"], tolerances=_tol_from_obj(obj["tolerances"])
         )
         for e in obj["entries"]:
+            if not isinstance(e["glyph"], str):
+                raise ValueError(f"glyph must be a string: {e['glyph']!r}")
             cc = CharacterCode(
                 e["glyph"], Position(e["position"]), _code_from_obj(e["code"])
             )
-            book.entries[(cc.glyph, cc.position.value)] = cc
+            key = (cc.glyph, cc.position.value)
+            if key in book.entries:
+                raise ValueError(f"duplicate entry for {key}")
+            book.entries[key] = cc
         book.fingerprint = [_code_from_obj(c) for c in obj["fingerprint"]]
         book.flagged = _flagged_from_obj(obj.get("flagged", []))
         book.skipped = obj.get("skipped", 0)

@@ -22,7 +22,6 @@ __all__ = [
     "segment",
     "components",
     "neighbors",
-    "centroid",
     "pixel_centroid",
     "load_image",
     "read_netpbm",
@@ -244,11 +243,6 @@ def components(pixels) -> list[list[tuple[int, int]]]:
 def segment(image: BinaryRaster) -> list[Stroke]:
     """Split the foreground into its 8-connected components."""
     return [Stroke(tuple(c)) for c in components(image.foreground())]
-
-
-def centroid(stroke: Stroke) -> tuple[float, float]:
-    """Arithmetic mean of the stroke's pixel coordinates."""
-    return stroke.centroid
 
 
 # ---------------------------------------------------------------------------

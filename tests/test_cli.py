@@ -168,6 +168,26 @@ def test_encode_svg_overlay(tmp_path, glyph_pbm, tuned_config):
     assert text.startswith("<svg") and "stroke=\"blue\"" in text
 
 
+def test_unwritable_output_exits_2(tmp_path, glyph_pbm, capsys):
+    """Each file the CLI writes, aimed into a missing directory."""
+    corpus = tmp_path / "corpus" / "isolated" / "vee"
+    corpus.mkdir(parents=True)
+    write_pbm(render_glyph("vee", 50), corpus / "50.pbm")
+    missing = tmp_path / "no" / "dir"
+    for argv in (
+        ["thin", str(glyph_pbm), str(missing / "skeleton.pbm")],
+        ["encode", str(glyph_pbm), "-o", str(missing / "code.json")],
+        ["encode", str(glyph_pbm), "--svg", str(missing / "encode.svg")],
+        ["fit", str(glyph_pbm), "--kind", "line", "--svg", str(missing / "fit.svg")],
+        ["build-codebook", str(tmp_path / "corpus"), "--sizes", "50",
+         "-o", str(missing / "book.json")],
+    ):
+        assert main(argv) == EXIT_PARSE, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and os.path.basename(argv[-1]) in err, err
+        assert "Traceback" not in err
+
+
 def test_encode_bad_config(tmp_path, glyph_pbm):
     bad = tmp_path / "bad.cfg"
     bad.write_text("delta_d = nope\n")
@@ -260,6 +280,16 @@ def test_build_codebook_malformed_raster_exits_3(tmp_path, capsys):
     spec = tmp_path / "corpus" / "isolated" / "vee"
     spec.mkdir(parents=True)
     (spec / "50.pbm").write_text("P1\n3 3\n0 1 x\n")
+    rc = main(
+        ["build-codebook", str(tmp_path / "corpus"), "-o", str(tmp_path / "b.json")]
+    )
+    assert rc == EXIT_CORPUS
+    assert "50.pbm" in capsys.readouterr().err
+
+
+def test_build_codebook_unreadable_raster_exits_3(tmp_path, capsys):
+    """A corpus raster that exists but cannot be read, here a directory."""
+    (tmp_path / "corpus" / "isolated" / "vee" / "50.pbm").mkdir(parents=True)
     rc = main(
         ["build-codebook", str(tmp_path / "corpus"), "-o", str(tmp_path / "b.json")]
     )

@@ -308,6 +308,31 @@ def test_recognize_no_match(demo_book):
     assert recognize(WordCode(()), demo_book, TOL) == []
 
 
+def test_codebook_calls_the_names_the_benchmark_traces(monkeypatch, tmp_path):
+    """bench/tracing.py times these by wrapping the codebook's attributes."""
+    import glyphcode.codebook as codebook
+
+    names = ("load_image", "encode_word", "extract_common_code", "subset_alignment")
+    counts = dict.fromkeys(names, 0)
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(codebook, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(codebook, name, counted)
+    spec = tmp_path / "isolated" / "vee"
+    spec.mkdir(parents=True)
+    for size in (50, 75):
+        write_pbm(render_glyph("vee", size), spec / f"{size}.pbm")
+    book = build_codebook(tmp_path, demo_table(), [50, 75], CFG, TOL, font="demo")
+    assert counts["load_image"] and counts["encode_word"], counts
+    assert counts["extract_common_code"], counts
+    counts["subset_alignment"] = 0
+    word = scale_word(encode_word(render_glyph("vee", 60), CFG), 1.0 / 60)
+    assert [g for g, _, _ in recognize(word, book, TOL)] == ["vee"]
+    assert counts["subset_alignment"], counts
+
+
 # ---------------------------------------------------------------------------
 # persistence
 
@@ -442,6 +467,37 @@ def test_load_checks_skipped_and_flagged(tmp_path):
         path.write_text(json.dumps(obj).replace('"@"', bad))
         with pytest.raises(CodebookFormatError):
             load_codebook(path)
+
+
+def _edited_book(tmp_path, edit):
+    """A saved one-entry codebook file with its JSON object changed by `edit`."""
+    path = _saved_book(tmp_path)
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def test_load_rejects_a_font_that_is_not_a_string(tmp_path):
+    path = _edited_book(tmp_path, lambda obj: obj.update(font=[1, 2]))
+    with pytest.raises(CodebookFormatError, match="font"):
+        load_codebook(path)
+
+
+def test_load_rejects_a_glyph_that_is_not_a_string(tmp_path):
+    path = _edited_book(tmp_path, lambda obj: obj["entries"][0].update(glyph=7))
+    with pytest.raises(CodebookFormatError, match="glyph"):
+        load_codebook(path)
+
+
+def test_load_rejects_two_entries_for_one_glyph_and_position(tmp_path):
+    def add_twin(obj):
+        twin = json.loads(json.dumps(obj["entries"][0]))
+        twin["code"][0]["code"][2] = 0.5  # a different length l
+        obj["entries"].append(twin)
+
+    with pytest.raises(CodebookFormatError, match="duplicate"):
+        load_codebook(_edited_book(tmp_path, add_twin))
 
 
 def test_recognize_skips_empty_codes(demo_book):

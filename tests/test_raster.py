@@ -13,7 +13,6 @@ from glyphcode import (
     RasterFormatError,
     Stroke,
     binarize,
-    centroid,
     load_image,
     read_netpbm,
     segment,
@@ -201,9 +200,9 @@ def test_components_order_and_offsets():
 
 
 def test_centroid_examples():
-    assert centroid(Stroke(((0, 0), (2, 0)))) == (1.0, 0.0)
-    assert centroid(Stroke(((3, 4),))) == (3.0, 4.0)
-    assert centroid(Stroke(((0, 0), (0, 2), (2, 0), (2, 2)))) == (1.0, 1.0)
+    assert Stroke(((0, 0), (2, 0))).centroid == (1.0, 0.0)
+    assert Stroke(((3, 4),)).centroid == (3.0, 4.0)
+    assert Stroke(((0, 0), (0, 2), (2, 0), (2, 2))).centroid == (1.0, 1.0)
 
 
 def test_stroke_empty_rejected():
