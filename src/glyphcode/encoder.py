@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import astuple, dataclass, fields, replace
 from itertools import combinations
+from operator import itemgetter
 
 import numpy as np
 
@@ -289,8 +290,8 @@ def _absorb_stray_pixels(claimed, residual, cfg: EncoderConfig) -> None:
                     continue
                 if point_line_distance(p, line) > cfg.dd:
                     continue
-                a = math.radians(line.alpha)
-                t = p[0] * -math.sin(a) + p[1] * math.cos(a)  # as lo, hi were
+                c, s = line.normal
+                t = p[0] * -s + p[1] * c  # as lo, hi were
                 if not lo - 0.5 <= t <= hi + 0.5:
                     continue
                 run.add(p)
@@ -311,17 +312,18 @@ def _arc_from_run(run, coef: EllipseCoefficients | None) -> EllipseArcCode | Non
     # gap around the fitted center (robust to arbitrary run ordering)
     x0, y0, _, _, phi = geo
 
-    def angle(p):
-        return (math.degrees(math.atan2(p[1] - y0, p[0] - x0)) - phi) % 360.0
-
-    by_angle = sorted(set(run), key=angle)
-    angles = [angle(p) for p in by_angle]
+    # a stable sort by angle alone: equal angles keep the set's order
+    by_angle = sorted(
+        (((math.degrees(math.atan2(y - y0, x - x0)) - phi) % 360.0, (x, y))
+         for x, y in set(run)),
+        key=itemgetter(0),
+    )
     gaps = [
-        ((angles[(k + 1) % len(angles)] - angles[k]) % 360.0, k)
-        for k in range(len(angles))
+        ((by_angle[(k + 1) % len(by_angle)][0] - ang) % 360.0, k)
+        for k, (ang, _) in enumerate(by_angle)
     ]
     _, k = max(gaps)
-    start, end = by_angle[(k + 1) % len(by_angle)], by_angle[k]
+    start, end = by_angle[(k + 1) % len(by_angle)][1], by_angle[k][1]
     try:  # raises on a one-pixel run too, where start == end
         beta, gamma = arc_angles(geo, start, end)
     except DegenerateInputError:

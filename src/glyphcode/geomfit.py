@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
-from operator import add, attrgetter, itemgetter, mul, sub
+from operator import add, attrgetter, mul, sub
 
 import numpy as np
 
@@ -49,8 +50,16 @@ class NonEllipseError(ValueError):
 
 @dataclass(frozen=True)
 class PolarLine:
+    """A polar line.  Its unit normal `normal`, (cos, sin) of `alpha`, is
+    worked out once, when the line is made, for the distances and extents
+    measured against it."""
+
     p: float      # distance from origin, px; always >= 0
     alpha: float  # normal angle, degrees in [0, 360)
+
+    def __post_init__(self):
+        a = math.radians(self.alpha)
+        object.__setattr__(self, "normal", (math.cos(a), math.sin(a)))
 
 
 @dataclass(frozen=True)
@@ -98,26 +107,27 @@ def _as_points(pixels) -> np.ndarray:
     pts = np.asarray(pixels, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("expected a sequence of (x, y) points")
+    if not np.isfinite(pts).all():
+        raise ValueError("point coordinates must be finite")
     return pts
 
 
-def _monomials(u, v, degree):
-    """u^i v^j for i + j <= degree: by degree, then by falling power of u."""
-    uu, uv, vv = u * u, u * v, v * v
-    if degree == 2:
-        return (1, u, v, uu, uv, vv)
-    return (1, u, v, uu, uv, vv, uu * u, uu * v, u * vv, vv * v,
-            uu * uu, uu * uv, uu * vv, uv * vv, vv * vv)
-
-
-def _running_sums(points, degree, origin):
-    """Sums of the monomials over points[:0], points[:1], ..., points[:n]."""
+def _monomials(points, degree, origin) -> list[list]:
+    """Columns u^i v^j over the points, u = x - ox and v = y - oy, for
+    i + j <= degree: by degree, then by falling power of u."""
     ox, oy = origin
-    return accumulate(
-        (_monomials(x - ox, y - oy, degree) for x, y in points),
-        lambda s, t: tuple(map(add, s, t)),
-        initial=(0,) * (6 if degree == 2 else 15),
-    )
+    points = list(points)
+    u = [p[0] - ox for p in points]
+    v = [p[1] - oy for p in points]
+    uu, uv, vv = list(map(mul, u, u)), list(map(mul, u, v)), list(map(mul, v, v))
+    cols = [[1] * len(u), u, v, uu, uv, vv]
+    if degree == 4:
+        cols += [
+            list(map(mul, s, t))
+            for s, t in ((uu, u), (uu, v), (u, vv), (vv, v),
+                         (uu, uu), (uu, uv), (uu, vv), (uv, vv), (vv, vv))
+        ]
+    return cols
 
 
 @dataclass(frozen=True)
@@ -136,24 +146,24 @@ class Moments:
 
     @classmethod
     def of(cls, points, degree: int = 2, origin=(0, 0)) -> Moments:
-        *_, sums = _running_sums(points, degree, origin)
-        return cls(sums, origin)
+        cols = _monomials(points, degree, origin)
+        return cls(tuple(reduce(add, col, 0) for col in cols), origin)
 
     @classmethod
     def prefix(cls, points, degree: int = 2, origin=(0, 0)) -> list[Moments]:
         """Rows r with r[j] - r[i] == Moments.of(points[i:j], degree, origin)."""
-        return [cls(s, origin) for s in _running_sums(points, degree, origin)]
-
-    def _combine(self, other: Moments, op) -> Moments:
-        if self.origin != other.origin or len(self.sums) != len(other.sums):
-            raise ValueError("moments differ in origin or degree")
-        return Moments(tuple(map(op, self.sums, other.sums)), self.origin)
+        cols = _monomials(points, degree, origin)
+        return [cls(s, origin) for s in zip(*(accumulate(c, initial=0) for c in cols))]
 
     def __add__(self, other: Moments) -> Moments:
-        return self._combine(other, add)
+        if self.origin != other.origin or len(self.sums) != len(other.sums):
+            raise ValueError("moments differ in origin or degree")
+        return Moments(tuple(map(add, self.sums, other.sums)), self.origin)
 
     def __sub__(self, other: Moments) -> Moments:
-        return self._combine(other, sub)
+        if self.origin != other.origin or len(self.sums) != len(other.sums):
+            raise ValueError("moments differ in origin or degree")
+        return Moments(tuple(map(sub, self.sums, other.sums)), self.origin)
 
     def centroid(self) -> tuple[float, float]:
         n, su, sv = self.sums[:3]
@@ -193,25 +203,26 @@ class Moments:
 
 def _moments(pixels, degree: int, need: int) -> Moments:
     """The fit input as Moments of `need` or more distinct points: exact
-    about (0, 0) for integer points, float sums about the mean otherwise."""
+    about (0, 0) for integer-valued points, which convert to Python ints,
+    and float sums about the mean otherwise."""
     if isinstance(pixels, Moments):
         if pixels.sums[0] < need:
             raise DegenerateInputError(f"need at least {need} distinct pixels")
         return pixels
     pts = _as_points(pixels)
-    if len(set(map(tuple, pts.tolist()))) < need:
+    coords = pts.tolist()
+    if len(set(map(tuple, coords))) < need:
         raise DegenerateInputError(f"need at least {need} distinct pixels")
     if np.array_equal(pts, np.round(pts)):
-        return Moments.of(pts.astype(np.int64).tolist(), degree)
-    origin = tuple(pts.mean(axis=0).tolist())
-    return Moments.of(pts.tolist(), degree, origin)
+        return Moments.of([(int(x), int(y)) for x, y in coords], degree)
+    return Moments.of(coords, degree, tuple(pts.mean(axis=0).tolist()))
 
 
 def line_residual(pixels, line: PolarLine) -> float:
     """Sum of squared orthogonal distances from the pixels to the line."""
     pts = _as_points(pixels)
-    a = math.radians(line.alpha)
-    d = pts[:, 0] * math.cos(a) + pts[:, 1] * math.sin(a) - line.p
+    c, s = line.normal
+    d = pts[:, 0] * c + pts[:, 1] * s - line.p
     return float(np.sum(d * d))
 
 
@@ -235,20 +246,20 @@ def fit_line(pixels) -> PolarLine:
     alpha0 = 0.5 * math.atan2(-2 * cxy, cyy - cxx)
     xm, ym = m.centroid()
     # the second modulo folds the 360.0 that a tiny negative angle rounds to
-    normals = sorted(
+    lo, hi = [
         (math.degrees(a) % 360.0 % 360.0, xm * math.cos(a) + ym * math.sin(a))
         for a in (alpha0, alpha0 + math.pi)
-    )
-    for alpha, p in normals:
-        if p >= 0:
-            return PolarLine(p, alpha)
-    return PolarLine(0.0, normals[0][0])
+    ]
+    if hi < lo:
+        lo, hi = hi, lo
+    alpha, p = lo if lo[1] >= 0 else hi if hi[1] >= 0 else (lo[0], 0.0)
+    return PolarLine(p, alpha)
 
 
 def point_line_distance(pt, line: PolarLine) -> float:
     """Perpendicular distance from (x, y) to the line, in px."""
-    a = math.radians(line.alpha)
-    return abs(pt[0] * math.cos(a) + pt[1] * math.sin(a) - line.p)
+    c, s = line.normal
+    return abs(pt[0] * c + pt[1] * s - line.p)
 
 
 def segment_extent(pixels, line: PolarLine) -> tuple[float, float]:
@@ -257,8 +268,8 @@ def segment_extent(pixels, line: PolarLine) -> tuple[float, float]:
     pts = _as_points(pixels)
     if len(pts) < 2:
         raise DegenerateInputError("need at least 2 pixels")
-    a = math.radians(line.alpha)
-    t = pts[:, 0] * -math.sin(a) + pts[:, 1] * math.cos(a)
+    c, s = line.normal
+    t = pts[:, 0] * -s + pts[:, 1] * c
     return float(t.min()), float(t.max())
 
 
@@ -327,21 +338,34 @@ def _reduced_system(m: Moments):
     # The blocks about the centroid, each central sum scaled by n^(i+j-1)
     # so that it stays an integer: S1 is the scatter of q = (x^2, xy, y^2),
     # S2 = [gx gy g1] its cross-scatter with (x, y, 1), and S3 is the 2x2
-    # block [[d20, d11], [d11, d02]] beside n.  So t = -S3^-1 S2^T has rows
-    # tx / (n det), ty / (n det) and -g1 / n^2, and red = (S1 + S2 t) n^3 det.
-    s1 = ((d40, d31, d22), (d31, d22, d13), (d22, d13, d04))
-    gx, gy, g1 = (d30, d21, d12), (d21, d12, d03), (d20, d11, d02)
-    tx = [d11 * y - d02 * x for x, y in zip(gx, gy)]
-    ty = [d11 * x - d20 * y for x, y in zip(gx, gy)]
-    red = [
-        [det * (s1[i][k] - g1[i] * g1[k]) + gx[i] * tx[k] + gy[i] * ty[k]
-         for k in range(3)]
-        for i in range(3)
-    ]
+    # block [[d20, d11], [d11, d02]] beside n, with gx = (d30, d21, d12),
+    # gy = (d21, d12, d03) and g1 = (d20, d11, d02).  So t = -S3^-1 S2^T
+    # has rows tx / (n det), ty / (n det) and -g1 / n^2, and the reduced
+    # matrix (S1 + S2 t) n^3 det has entries
+    #   det (S1[i][k] - g1[i] g1[k]) + gx[i] tx[k] + gy[i] ty[k].
+    tx0, tx1, tx2 = d11 * d21 - d02 * d30, d11 * d12 - d02 * d21, d11 * d03 - d02 * d12
+    ty0, ty1, ty2 = d11 * d30 - d20 * d21, d11 * d21 - d20 * d12, d11 * d12 - d20 * d03
     scale = n**3 * det
-    # C1^-1 (S1 + S2 t), with C1 the constraint matrix of 4ac - b^2
-    mat = [[v / scale * w for v in red[2 - i]] for i, w in enumerate((0.5, -1.0, 0.5))]
-    return mat, (m, n, det, tx, ty, g1)
+    # C1^-1 (S1 + S2 t), with C1 the constraint matrix of 4ac - b^2: rows
+    # 2, 1 and 0 of the reduced matrix, times 0.5, -1 and 0.5
+    mat = [
+        [
+            (det * (d22 - d02 * d20) + d12 * tx0 + d03 * ty0) / scale * 0.5,
+            (det * (d13 - d02 * d11) + d12 * tx1 + d03 * ty1) / scale * 0.5,
+            (det * (d04 - d02 * d02) + d12 * tx2 + d03 * ty2) / scale * 0.5,
+        ],
+        [
+            (det * (d31 - d11 * d20) + d21 * tx0 + d12 * ty0) / scale * -1.0,
+            (det * (d22 - d11 * d11) + d21 * tx1 + d12 * ty1) / scale * -1.0,
+            (det * (d13 - d11 * d02) + d21 * tx2 + d12 * ty2) / scale * -1.0,
+        ],
+        [
+            (det * (d40 - d20 * d20) + d30 * tx0 + d21 * ty0) / scale * 0.5,
+            (det * (d31 - d20 * d11) + d30 * tx1 + d21 * ty1) / scale * 0.5,
+            (det * (d22 - d20 * d02) + d30 * tx2 + d21 * ty2) / scale * 0.5,
+        ],
+    ]
+    return mat, (m, n, det, (tx0, tx1, tx2), (ty0, ty1, ty2), (d20, d11, d02))
 
 
 def _conic_from_eigen(setup, lams, imags, vecs) -> EllipseCoefficients | None:
@@ -349,18 +373,21 @@ def _conic_from_eigen(setup, lams, imags, vecs) -> EllipseCoefficients | None:
     coordinates; None when no eigenvector meets the constraint."""
     m, n, det, tx, ty, g1 = setup
     floor = 1e-12 * max(map(abs, lams))
-    # real eigenvectors inside the ellipse constraint, 4ac - b^2 > 0
-    found = [
-        (lam, a1, cond)
-        for lam, imag, a1 in zip(lams, imags, vecs)
-        if abs(imag) <= 1e-8 * max(1.0, abs(lam))
-        and (cond := 4.0 * a1[0] * a1[2] - a1[1] ** 2) > 0
-    ]
-    # the minimal positive eigenvalue; an exact fit drives it to numerical
-    # zero, and then the largest one at or below the floor is the answer
-    above = [f for f in found if f[0] > floor]
-    key = itemgetter(0)  # the eigenvalue
-    best = min(above, key=key) if above else max(found, key=key, default=None)
+    # Among real eigenvectors inside the ellipse constraint, 4ac - b^2 > 0:
+    # the first minimal eigenvalue above the floor.  An exact fit drives it
+    # to numerical zero, and then the first maximal one at or below the
+    # floor is the answer.
+    best = fallback = None
+    for lam, imag, a1 in zip(lams, imags, vecs):
+        if abs(imag) <= 1e-8 * max(1.0, abs(lam)) and (
+            cond := 4.0 * a1[0] * a1[2] - a1[1] ** 2
+        ) > 0:
+            if lam > floor:
+                if best is None or lam < best[0]:
+                    best = (lam, a1, cond)
+            elif fallback is None or lam > fallback[0]:
+                fallback = (lam, a1, cond)
+    best = best or fallback
     if best is None:
         return None
     _, a1, cond = best

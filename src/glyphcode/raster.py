@@ -158,36 +158,46 @@ _ZHANG_SUEN = [
     np.array([_deletable(c, products) for c in range(256)])
     for products in ((0b0010101, 0b1010100), (0b1000101, 0b1010001))
 ]
-_REDUNDANT = [_redundant(c) for c in range(256)]
+_REDUNDANT = np.array([_redundant(c) for c in range(256)])
 
 
 def neighbors(pixel, pool) -> list[tuple[int, int]]:
     """The 8-neighbors of `pixel` that are in `pool`, in ring order."""
     x, y = pixel
-    return [(x + dx, y + dy) for dx, dy in _RING if (x + dx, y + dy) in pool]
+    return [q for dx, dy in _RING if (q := (x + dx, y + dy)) in pool]
 
 
-def _prune_redundant(ink: list[int], offsets: list[int]) -> list[int]:
+def _ring_codes(grid: np.ndarray, ink: np.ndarray, offsets) -> np.ndarray:
+    """The 8-bit ring code of each pixel in `ink` (flat indices into `grid`)."""
+    code = np.zeros(len(ink), dtype=np.uint8)
+    for bit, off in enumerate(offsets):
+        code |= grid[ink + off] << bit
+    return code
+
+
+def _prune_redundant(on: bytearray, ink: np.ndarray, offsets: list[int]) -> None:
     """Delete staircase pixels the parallel passes cannot remove.
 
     Zhang-Suen leaves two-pixel bumps on near-diagonal strokes.  A pixel
     is redundant when `_REDUNDANT` marks its ring code: its ON neighbors
     stay mutually 8-connected without it.  Deleting redundant pixels one
-    at a time, in row-major passes over `ink` (flat indices; `offsets`
-    lead to the ring) until none is left, yields single-pixel chains and
+    at a time, in row-major order over `ink` (flat indices into the grid
+    `on`; `offsets` lead to the ring), yields single-pixel chains and
     cannot change connectivity or drop endpoints.
+
+    Deleting a redundant pixel q never makes a ring neighbor p redundant:
+    q would have to be cut off from p's other ON neighbors, but inside
+    q's ring p touches another ON neighbor of q, which is then ON in p's
+    ring and touches q.  So one pass leaves no redundant pixel, and it
+    need only visit the pixels redundant before it starts, each checked
+    again in its turn, since an earlier deletion may have made it a
+    bridge.
     """
-    on = set(ink)
-    changed = True
-    while changed:
-        changed = False
-        for i in ink:
-            code = sum(1 << bit for bit, off in enumerate(offsets) if i + off in on)
-            if _REDUNDANT[code]:
-                on.discard(i)
-                changed = True
-        ink = [i for i in ink if i in on]
-    return ink
+    grid = np.frombuffer(on, dtype=np.uint8)
+    ring = list(enumerate(offsets))
+    for i in ink[_REDUNDANT[_ring_codes(grid, ink, offsets)]].tolist():
+        if _REDUNDANT[sum(1 << bit for bit, off in ring if on[i + off])]:
+            on[i] = 0
 
 
 def thin(image: BinaryRaster) -> BinaryRaster:
@@ -200,23 +210,20 @@ def thin(image: BinaryRaster) -> BinaryRaster:
     left on near-diagonal strokes.
     """
     padded = np.pad(image.bits, 1).astype(np.uint8)
-    flat = padded.ravel()
+    on = bytearray(padded.tobytes())
+    flat = np.frombuffer(on, dtype=np.uint8)
     offsets = [dy * padded.shape[1] + dx for dx, dy in _RING]
     ink = np.flatnonzero(flat)  # stays in row-major order
     changed = True
     while changed:
         changed = False
         for table in _ZHANG_SUEN:
-            code = np.zeros(len(ink), dtype=np.uint8)
-            for bit, off in enumerate(offsets):
-                code |= flat[ink + off] << bit
-            hit = table[code]
+            hit = table[_ring_codes(flat, ink, offsets)]
             flat[ink[hit]] = 0
             ink = ink[~hit]
             changed |= bool(hit.any())
-    flat[ink] = 0
-    flat[_prune_redundant(ink.tolist(), offsets)] = 1
-    return BinaryRaster(padded[1:-1, 1:-1])
+    _prune_redundant(on, ink, offsets)
+    return BinaryRaster(flat.reshape(padded.shape)[1:-1, 1:-1])
 
 
 def components(pixels) -> list[list[tuple[int, int]]]:

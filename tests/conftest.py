@@ -8,12 +8,17 @@ enumerates every monotone alignment.  The reference fits build float
 design matrices from the points, where the library reads exact integer
 moments, and the reference path walk rescans for endpoints on every path.
 The reference arc clustering grows each run one pixel per step, where the
-library evaluates blocks of candidate ends at once.
+library evaluates blocks of candidate ends at once.  The exact-fit
+references keep the plain forms of the library's exact steps (a tuple
+running sum per point, a sorted pair of normals, index loops over the
+reduced matrix, filtered lists of eigenpairs); the library must match
+them bit for bit.
 """
 
 import itertools
 import math
 import random
+from operator import itemgetter, mul
 
 import numpy as np
 import pytest
@@ -32,7 +37,7 @@ from glyphcode import (
     fit_ellipse,
 )
 from glyphcode.encoder import _arc_from_run, _walk_paths
-from glyphcode.geomfit import sampson_residual
+from glyphcode.geomfit import _moments, sampson_residual
 from glyphcode.matcher import element_match, element_subset
 from glyphcode.raster import components, neighbors, pixel_centroid
 
@@ -141,6 +146,112 @@ def reference_fit_ellipse(points):
         float(e - 2.0 * c * my - b * mx),
         float(f + a * mx * mx + b * mx * my + c * my * my - d * mx - e * my),
     )
+
+
+# ---------------------------------------------------------------------------
+# plain forms of the exact moment fits, to be matched bit for bit
+
+
+def reference_prefix_sums(points, degree, origin):
+    """Running sums of u^i v^j over points[:0], points[:1], ..., one tuple
+    per point, in `Moments` order."""
+    ox, oy = origin
+    rows = [(0,) * (6 if degree == 2 else 15)]
+    for x, y in points:
+        u, v = x - ox, y - oy
+        uu, uv, vv = u * u, u * v, v * v
+        terms = (1, u, v, uu, uv, vv)
+        if degree == 4:
+            terms += (uu * u, uu * v, u * vv, vv * v,
+                      uu * uu, uu * uv, uu * vv, uv * vv, vv * vv)
+        rows.append(tuple(s + t for s, t in zip(rows[-1], terms)))
+    return rows
+
+
+def reference_exact_fit_line(pixels):
+    """`fit_line` with its two normals sorted, the first with p >= 0 taken."""
+    m = _moments(pixels, 2, 2)
+    cxx, cxy, cyy = m.central()[:3]
+    if cxx == cyy == 0:
+        raise DegenerateInputError("need at least 2 distinct pixels")
+    alpha0 = 0.5 * math.atan2(-2 * cxy, cyy - cxx)
+    xm, ym = m.centroid()
+    normals = sorted(
+        (math.degrees(a) % 360.0 % 360.0, xm * math.cos(a) + ym * math.sin(a))
+        for a in (alpha0, alpha0 + math.pi)
+    )
+    for alpha, p in normals:
+        if p >= 0:
+            return PolarLine(p, alpha)
+    return PolarLine(0.0, normals[0][0])
+
+
+def reference_reduced_system(m):
+    """`geomfit._reduced_system` with the reduced matrix built by index loops."""
+    n = m.sums[0]
+    d20, d11, d02, d30, d21, d12, d03, d40, d31, d22, d13, d04 = m.central()
+    det = d20 * d02 - d11 * d11
+    if det <= 1e-18 * (d20 + d02) ** 2:
+        return None
+    s1 = ((d40, d31, d22), (d31, d22, d13), (d22, d13, d04))
+    gx, gy, g1 = (d30, d21, d12), (d21, d12, d03), (d20, d11, d02)
+    tx = [d11 * y - d02 * x for x, y in zip(gx, gy)]
+    ty = [d11 * x - d20 * y for x, y in zip(gx, gy)]
+    red = [
+        [det * (s1[i][k] - g1[i] * g1[k]) + gx[i] * tx[k] + gy[i] * ty[k]
+         for k in range(3)]
+        for i in range(3)
+    ]
+    scale = n**3 * det
+    mat = [[v / scale * w for v in red[2 - i]] for i, w in enumerate((0.5, -1.0, 0.5))]
+    return mat, (m, n, det, tx, ty, g1)
+
+
+def reference_conic_from_eigen(setup, lams, imags, vecs):
+    """`geomfit._conic_from_eigen` picking its eigenpair from filtered lists."""
+    m, n, det, tx, ty, g1 = setup
+    floor = 1e-12 * max(map(abs, lams))
+    found = [
+        (lam, a1, cond)
+        for lam, imag, a1 in zip(lams, imags, vecs)
+        if abs(imag) <= 1e-8 * max(1.0, abs(lam))
+        and (cond := 4.0 * a1[0] * a1[2] - a1[1] ** 2) > 0
+    ]
+    above = [f for f in found if f[0] > floor]
+    key = itemgetter(0)  # the eigenvalue
+    best = min(above, key=key) if above else max(found, key=key, default=None)
+    if best is None:
+        return None
+    _, a1, cond = best
+    a1 = [v / math.sqrt(cond) for v in a1]
+    if a1[0] + a1[2] < 0:
+        a1 = [-v for v in a1]
+    a, b, c = a1
+    d, e = (sum(map(mul, row, a1)) / (n * det) for row in (tx, ty))
+    f = -sum(map(mul, g1, a1)) / n**2
+    x0, y0 = m.centroid()
+    return EllipseCoefficients(
+        a, b, c, d - 2.0 * a * x0 - b * y0, e - 2.0 * c * y0 - b * x0,
+        f + a * x0 * x0 + b * x0 * y0 + c * y0 * y0 - d * x0 - e * y0,
+    )
+
+
+def reference_exact_fit_block(block):
+    """Each member of a list of degree-4 `Moments` fitted alone, with its
+    own `np.linalg.eig`: its coefficients, or None."""
+    fits = []
+    for m in block:
+        system = reference_reduced_system(m) if m.sums[0] >= 5 else None
+        if system is None:
+            fits.append(None)
+            continue
+        w, v = np.linalg.eig(np.array(system[0]))
+        fits.append(
+            reference_conic_from_eigen(
+                system[1], w.real.tolist(), w.imag.tolist(), v.real.T.tolist()
+            )
+        )
+    return fits
 
 
 def algebraic_residual(pixels, coef):

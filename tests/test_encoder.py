@@ -34,7 +34,8 @@ from glyphcode import (
 )
 from glyphcode import encoder, segment, thin
 from glyphcode.raster import neighbors
-from glyphcode.encoder import _walk_paths, cluster_ellipses, extract_lines
+from glyphcode.encoder import _arc_from_run, _walk_paths, cluster_ellipses, extract_lines
+from glyphcode.geomfit import EllipseCoefficients
 from glyphcode.render import DEMO_GLYPHS, render_glyph, render_word_image
 from conftest import (
     random_blob,
@@ -222,6 +223,23 @@ def test_cluster_half_circle():
     code, pixels = arcs[0]
     span = (code.gamma - code.beta) % 360.0
     assert span == pytest.approx(180.0, abs=14.0)
+
+
+def test_arc_from_run_keeps_equal_angles_in_run_order():
+    # a circle of radius 5 about (10, 10), and a lower half-circle run that
+    # also holds the centre, whose angle reads 0 like that of (15, 10)
+    coef = EllipseCoefficients(0.5, 0.0, 0.5, -10.0, -10.0, 87.5)
+    half = {
+        (10 + round(5 * math.cos(t)), 10 + round(5 * math.sin(t)))
+        for t in map(math.radians, range(0, 181, 10))
+    }
+    run = sorted(half) + [(10, 10)]
+    # the arc starts at the first pixel at angle 0 in set order: (15, 10)
+    # here, while an (angle, pixel) sort would pick the centre and fail
+    tied = [p for p in set(run) if math.atan2(p[1] - 10, p[0] - 10) == 0.0]
+    assert tied == [(15, 10), (10, 10)]
+    want = EllipseArcCode(10.0, 10.0, 5.0, 5.0, 0.0, 0.0, 180.0)
+    assert _arc_from_run(run, coef) == want
 
 
 def test_cluster_empty():

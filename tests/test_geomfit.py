@@ -15,6 +15,7 @@ from glyphcode import (
     Moments,
     NonEllipseError,
     NumericalFitError,
+    PolarLine,
     arc_angles,
     conic_to_geometric,
     fit_ellipse,
@@ -28,8 +29,11 @@ from conftest import (
     grid_line_oracle,
     orthogonal_sse,
     random_pixel_run,
+    reference_exact_fit_block,
+    reference_exact_fit_line,
     reference_fit_ellipse,
     reference_fit_line,
+    reference_prefix_sums,
     reference_sampson_residual,
     sample_ellipse,
 )
@@ -115,6 +119,30 @@ def test_fit_line_alpha_below_360():
     assert orthogonal_sse(pts, line.p, line.alpha) <= grid_line_oracle(pts)[2] + 1e-6
 
 
+def test_fit_line_reads_huge_integer_valued_floats_exactly():
+    # beyond 2**63 an int64 cast overflowed and turned the normal to 180
+    pts = [(1e19, 0.0), (2e19, 1.0), (3e19, 2.0)]
+    line = fit_line(pts)
+    assert line.alpha == 90.0  # the true normal is 90 + 5.7e-18 degrees
+    assert line == fit_line(Moments.of([(int(x), int(y)) for x, y in pts]))
+    assert fit_line([(1e19, 0.0), (1e19, 2048.0), (1e19, 4096.0)]) == PolarLine(1e19, 0.0)
+
+
+def test_fits_reject_a_nan_coordinate():
+    pts = [(0, 0), (1, 2), (2, 5), (3, 5), (4, 2), (5, float("nan"))]
+    for fit in (fit_line, fit_ellipse):
+        with pytest.raises(ValueError, match="finite"):
+            fit(pts)
+
+
+def test_fits_reject_an_infinite_coordinate():
+    for bad in (float("inf"), -float("inf")):
+        pts = [(0, 0), (1, 2), (2, 5), (3, 5), (4, 2), (bad, 0)]
+        for fit in (fit_line, fit_ellipse):
+            with pytest.raises(ValueError, match="finite"):
+                fit(pts)
+
+
 # ---------------------------------------------------------------------------
 # point_line_distance / segment_extent
 
@@ -141,6 +169,27 @@ def test_segment_extent_examples():
     pts = [(0, 0), (1, 0), (1, 0)]
     lo, hi = segment_extent(pts, fit_line(pts))
     assert hi - lo == pytest.approx(1.0)
+
+
+def test_cached_normal_reads_what_per_call_trig_reads():
+    rng = random.Random(23)
+    alphas = [0.0, 90.0, 180.0, 270.0] + [rng.uniform(0.0, 360.0) for _ in range(300)]
+    for alpha in alphas:
+        line = PolarLine(rng.uniform(0.0, 300.0), alpha)
+        a = math.radians(alpha)
+        pts = [(rng.randint(-50, 400), rng.randint(-50, 400)) for _ in range(20)]
+        for x, y in pts:
+            want = abs(x * math.cos(a) + y * math.sin(a) - line.p)
+            assert point_line_distance((x, y), line).hex() == want.hex()
+        t = [x * -math.sin(a) + y * math.cos(a) for x, y in pts]
+        lo, hi = segment_extent(pts, line)
+        assert (lo.hex(), hi.hex()) == (min(t).hex(), max(t).hex())
+
+
+def test_a_pixel_beside_a_horizontal_run_reads_just_over_one():
+    # cos(90 deg) is 6.1e-17, not 0: a known float tie the cache keeps
+    line = fit_line([(k, 3) for k in range(2, 22)])
+    assert point_line_distance((7, 2), line) == 1.0000000000000004
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +386,34 @@ def test_moment_fits_agree_with_reference_fits():
         assert err <= 1e-6 * np.abs(want).max()
         compared += 1
     assert compared >= 300
+
+
+def _hex(line):
+    return line.p.hex(), line.alpha.hex()
+
+
+def test_fits_equal_their_plain_reference_forms_bitwise():
+    """Every line step and every ellipse candidate of the 500 runs, and
+    of their scaled copies, which fit from float sums about the mean."""
+    fitted = 0
+    for run in _runs():
+        scaled = [(x + 0.5, y / 3) for x, y in run]
+        corner = (min(x for x, _ in run), min(y for _, y in run))
+        mean = tuple(np.mean(scaled, axis=0).tolist())
+        for pts, corner in ((run, corner), (scaled, mean)):
+            assert _hex(fit_line(pts)) == _hex(reference_exact_fit_line(pts))
+            rows = Moments.prefix(pts, 4, corner)
+            assert [r.sums for r in rows] == reference_prefix_sums(pts, 4, corner)
+            assert Moments.of(pts, 4, corner) == rows[-1]
+            steps = Moments.prefix(pts)
+            for j in range(2, len(pts) + 1):
+                m = steps[j] - steps[0]
+                assert _hex(fit_line(m)) == _hex(reference_exact_fit_line(m))
+            block = [rows[e] - rows[0] for e in range(1, len(rows))]
+            got = list(map(_bits, fit_ellipse(block)))
+            assert got == list(map(_bits, reference_exact_fit_block(block)))
+            fitted += sum(g is not None for g in got)
+    assert fitted >= 20_000
 
 
 def test_moments_prefix_slices_and_sums_are_exact():

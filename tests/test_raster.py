@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from glyphcode import (
     BinaryRaster,
@@ -19,7 +20,8 @@ from glyphcode import (
     thin,
     write_pbm,
 )
-from glyphcode.raster import components
+from glyphcode.raster import _REDUNDANT, _RING, components
+from glyphcode.render import DEMO_GLYPHS, render_glyph
 from conftest import (
     count_components,
     random_blob,
@@ -153,6 +155,49 @@ def test_thin_exact_on_all_3x3_patterns():
 @given(st.integers(min_value=0, max_value=2**25 - 1))
 def test_thin_exact_small_grids(seedbits):
     assert_thin_exact(small_grid(seedbits))
+
+
+@pytest.mark.parametrize("size", (60, 120))
+def test_thin_exact_on_dilated_demo_glyphs(size):
+    for name in DEMO_GLYPHS:
+        bits = render_glyph(name, size).bits
+        for grow in (1, 2, 3):
+            grown = ndimage.binary_dilation(bits, np.ones((3, 3), bool), grow)
+            assert_thin_exact(grown)
+
+
+def _redundant_in(on, p):
+    ring = [(p[0] + dx, p[1] + dy) in on for dx, dy in _RING]
+    return _REDUNDANT[sum(1 << bit for bit, hit in enumerate(ring) if hit)]
+
+
+def test_deleting_a_redundant_pixel_never_makes_a_neighbor_redundant():
+    """Why one prune pass suffices: every setting of the cells around a
+    pixel p and a ring neighbor q of p, on both sides of p."""
+    p = (0, 0)
+    for q in _RING:
+        cells = {(q[0] + dx, q[1] + dy) for dx, dy in _RING} | set(_RING)
+        cells = sorted(cells - {p, q})
+        for mask in range(1 << len(cells)):
+            on = {c for k, c in enumerate(cells) if mask >> k & 1} | {p, q}
+            if _redundant_in(on, q) and not _redundant_in(on, p):
+                assert not _redundant_in(on - {q}, p)
+
+
+def test_prune_checks_each_candidate_again_in_its_turn():
+    # a Zhang-Suen skeleton whose bend pixels (2, 1), (1, 2) and (2, 2) are
+    # all redundant before the prune; once the first two are deleted,
+    # (2, 2) alone joins the two arms and must stay
+    bits = raster_from_rows(
+        ["......", "..###.", ".##...", ".#....", ".#....", "......"]
+    ).bits
+    assert (reference_zhang_suen(bits) == bits).all()
+    on = {(int(x), int(y)) for y, x in zip(*np.nonzero(bits))}
+    assert all(_redundant_in(on, p) for p in ((2, 1), (1, 2), (2, 2)))
+    out = thin(BinaryRaster(bits)).bits
+    assert out[2, 2] and not out[1, 2] and not out[2, 1]
+    assert count_components(out) == 1
+    assert_thin_exact(bits)
 
 
 # ---------------------------------------------------------------------------
