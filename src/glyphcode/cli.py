@@ -55,6 +55,12 @@ def _read_word(args) -> encoder.WordCode:
     return word if args.size is None else encoder.scale_word(word, 1.0 / args.size)
 
 
+def _write_svg(path, word: encoder.WordCode, image: raster.BinaryRaster) -> None:
+    """Write the SVG overlay of `word` on the skeleton of `image`."""
+    with open(path, "w") as fh:
+        fh.write(render.svg_overlay(word, raster.thin(image)))
+
+
 def cmd_thin(args) -> int:
     _, image = _read_input(args)
     raster.write_pbm(raster.thin(image), args.output)
@@ -98,9 +104,7 @@ def cmd_fit(args) -> int:
         }
     print(json.dumps(result, indent=1))
     if args.svg:
-        word = encoder.encode_word(image, cfg.encoder)
-        with open(args.svg, "w") as fh:
-            fh.write(render.svg_overlay(word, raster.thin(image)))
+        _write_svg(args.svg, encoder.encode_word(image, cfg.encoder), image)
     return EXIT_OK
 
 
@@ -114,8 +118,7 @@ def cmd_encode(args) -> int:
     else:
         print(text)
     if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(render.svg_overlay(word, raster.thin(image)))
+        _write_svg(args.svg, word, image)
     return EXIT_OK
 
 
@@ -127,10 +130,12 @@ def cmd_build_codebook(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError as exc:
         raise CommandError(EXIT_PARSE, f"bad sizes: {exc}") from exc
+    if any(size < 1 for size in sizes):
+        raise CommandError(EXIT_PARSE, f"--sizes must be positive integers, got {args.sizes}")
     try:
         book = cb.build_codebook(
             args.corpus, cb.arabic_connectivity(), sizes, cfg.encoder, cfg.tolerances,
-            font=args.font,
+            font=args.font, threshold=cfg.threshold,
         )
     except raster.RasterFormatError as exc:
         raise CommandError(EXIT_CORPUS, f"bad corpus raster: {exc}") from exc
@@ -161,11 +166,6 @@ def cmd_identify_font(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p):
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--threshold", type=int, help="binarization threshold (0-255)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="glyphcode",
@@ -173,53 +173,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("thin", help="thin an image to its skeleton")
-    p.add_argument("input")
-    p.add_argument("output")
-    _add_common(p)
-    p.set_defaults(func=cmd_thin)
+    def command(name, func, summary, first="input"):
+        """A subcommand taking `first`, --config and --threshold, run by `func`."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument(first)
+        p.add_argument("--config", help="key=value config file")
+        p.add_argument("--threshold", type=int, help="binarization threshold (0-255)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("segment", help="list skeleton strokes")
-    p.add_argument("input")
-    _add_common(p)
-    p.set_defaults(func=cmd_segment)
-
-    p = sub.add_parser("fit", help="fit a line/ellipse to all ink pixels")
-    p.add_argument("input")
+    command("thin", cmd_thin, "thin an image to its skeleton").add_argument("output")
+    command("segment", cmd_segment, "list skeleton strokes")
+    p = command("fit", cmd_fit, "fit a line/ellipse to all ink pixels")
     p.add_argument("--kind", choices=["line", "ellipse", "both"], default="both")
     p.add_argument("--svg", help="write an SVG overlay of the encoding")
-    _add_common(p)
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("encode", help="encode an image as a word code")
-    p.add_argument("input")
+    p = command("encode", cmd_encode, "encode an image as a word code")
     p.add_argument("-o", "--output", help="write JSON here instead of stdout")
     p.add_argument("--svg", help="write an SVG overlay of the encoding")
-    _add_common(p)
-    p.set_defaults(func=cmd_encode)
-
-    p = sub.add_parser("build-codebook", help="build a codebook from a corpus")
-    p.add_argument("corpus")
+    p = command("build-codebook", cmd_build_codebook, "build a codebook from a corpus", "corpus")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--sizes", default="50,75,100", help="comma-separated px sizes")
+    p.add_argument("--sizes", default="50,75,100", help="comma-separated positive px sizes")
     p.add_argument("--font", help="font name (default: corpus dir name)")
-    _add_common(p)
-    p.set_defaults(func=cmd_build_codebook)
-
-    p = sub.add_parser("recognize", help="recognize glyphs in an image")
-    p.add_argument("input")
+    size_help = "nominal render size for scale normalization"
+    p = command("recognize", cmd_recognize, "recognize glyphs in an image")
     p.add_argument("codebook")
-    p.add_argument("--size", type=float, help="nominal render size for scale normalization")
-    _add_common(p)
-    p.set_defaults(func=cmd_recognize)
-
-    p = sub.add_parser("identify-font", help="identify the font of an image")
-    p.add_argument("input")
+    p.add_argument("--size", type=float, help=size_help)
+    p = command("identify-font", cmd_identify_font, "identify the font of an image")
     p.add_argument("codebooks", nargs="+")
-    p.add_argument("--size", type=float, help="nominal render size for scale normalization")
-    _add_common(p)
-    p.set_defaults(func=cmd_identify_font)
-
+    p.add_argument("--size", type=float, help=size_help)
     return parser
 
 

@@ -257,11 +257,13 @@ def build_codebook(
     cfg: EncoderConfig,
     t: MatchTolerances,
     font: str | None = None,
+    threshold: int = 128,
 ) -> Codebook:
     """Encode a rendered corpus and isolate per-(glyph, position) codes.
 
     Missing rasters are skipped (counted), and a malformed or unreadable
-    one raises RasterFormatError naming its file.  Glyphs whose containing specs
+    one raises RasterFormatError naming its file; PGM rasters are
+    binarized at `threshold`.  Glyphs whose containing specs
     share no common code are flagged instead of entered.  `table` is
     accepted and unused: the specs come from the corpus directory names.
     """
@@ -284,7 +286,7 @@ def build_codebook(
                     book.skipped += 1
                     continue
                 try:
-                    image = load_image(path)
+                    image = load_image(path, threshold)
                 except (RasterFormatError, OSError) as exc:
                     raise RasterFormatError(f"{path}: {exc}") from exc
                 word = encode_word(image, cfg)

@@ -203,19 +203,23 @@ class Moments:
 
 def _moments(pixels, degree: int, need: int) -> Moments:
     """The fit input as Moments of `need` or more distinct points: exact
-    about (0, 0) for integer-valued points, which convert to Python ints,
-    and float sums about the mean otherwise."""
+    about (0, 0) for integer-valued points, read as Python ints from the
+    input itself, and float sums about the mean otherwise."""
     if isinstance(pixels, Moments):
         if pixels.sums[0] < need:
             raise DegenerateInputError(f"need at least {need} distinct pixels")
         return pixels
+    if not isinstance(pixels, np.ndarray):
+        pixels = list(pixels)
     pts = _as_points(pixels)
-    coords = pts.tolist()
+    if np.array_equal(pts, np.round(pts)):
+        rows = pixels.tolist() if isinstance(pixels, np.ndarray) else pixels
+        coords, origin = [(int(x), int(y)) for x, y in rows], (0, 0)
+    else:
+        coords, origin = pts.tolist(), tuple(pts.mean(axis=0).tolist())
     if len(set(map(tuple, coords))) < need:
         raise DegenerateInputError(f"need at least {need} distinct pixels")
-    if np.array_equal(pts, np.round(pts)):
-        return Moments.of([(int(x), int(y)) for x, y in coords], degree)
-    return Moments.of(coords, degree, tuple(pts.mean(axis=0).tolist()))
+    return Moments.of(coords, degree, origin)
 
 
 def line_residual(pixels, line: PolarLine) -> float:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 from scipy import ndimage
@@ -255,80 +256,72 @@ def segment(image: BinaryRaster) -> list[Stroke]:
 # ---------------------------------------------------------------------------
 # netpbm I/O (PBM P1/P4 binary, PGM P2/P5 grayscale)
 
-def _read_tokens(data: bytes, count: int, pos: int) -> tuple[list[int], int]:
-    """Read `count` whitespace-separated integer tokens, skipping comments."""
-    tokens: list[int] = []
-    n = len(data)
-    while len(tokens) < count:
-        while pos < n and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos >= n:
-            raise RasterFormatError("unexpected end of header")
-        if data[pos : pos + 1] == b"#":
-            while pos < n and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < n and not data[pos : pos + 1].isspace():
-            pos += 1
-        tok = data[start:pos]
+# One token after any whitespace and comments: a `#` starts a comment
+# anywhere before the raster and runs to the end of its line.  The token
+# is empty only at the end of the data.
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*([^\s#]*)")
+
+
+def _read_ints(data: bytes, pos: int, count: int) -> tuple[list[int], int]:
+    """The `count` integer tokens from `pos` on, and the offset past the last."""
+    matches = list(islice(_TOKEN.finditer(data, pos), count))
+    tokens = [m[1] for m in matches if m[1]]
+    for tok in tokens:
         if not tok.isdigit():
             raise RasterFormatError(f"bad header token {tok!r}")
-        tokens.append(int(tok))
-    return tokens, pos
+    if len(tokens) < count:
+        raise RasterFormatError("unexpected end of header")
+    return [int(tok) for tok in tokens], matches[-1].end()
 
 
 def read_netpbm(path) -> GrayRaster | BinaryRaster:
     """Read a PBM (P1/P4) or PGM (P2/P5) file.
 
     Returns a BinaryRaster for PBM input and a GrayRaster for PGM input.
+    The raw P4 and P5 rasters start after one whitespace byte.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 2:
         raise RasterFormatError("file too short for a netpbm header")
     magic = data[:2]
-    pos = 2
-    if magic in (b"P1", b"P4"):
-        (w, h), pos = _read_tokens(data, 2, pos)
-        if w < 1 or h < 1:
-            raise RasterFormatError("width and height must be positive")
-        if magic == b"P1":
-            # comments run to the end of the line, as in the header
-            body = b"".join(re.sub(rb"#[^\n]*", b"", data[pos:]).split())
-            if body.translate(None, b"01"):
-                raise RasterFormatError("P1 pixel data must be 0s and 1s")
-            if len(body) < w * h:
-                raise RasterFormatError("truncated P1 pixel data")
-            bits = np.frombuffer(body[: w * h], dtype="S1") == b"1"
-            return BinaryRaster(bits.reshape(h, w))
-        pos += 1  # single whitespace after header
-        rowbytes = (w + 7) // 8
-        raw = data[pos : pos + rowbytes * h]
-        if len(raw) < rowbytes * h:
-            raise RasterFormatError("truncated P4 pixel data")
-        rows = np.frombuffer(raw, dtype=np.uint8).reshape(h, rowbytes)
-        bits = np.unpackbits(rows, axis=1)[:, :w].astype(bool)
-        return BinaryRaster(bits)
-    if magic in (b"P2", b"P5"):
-        (w, h, maxval), pos = _read_tokens(data, 3, pos)
+    if magic not in (b"P1", b"P2", b"P4", b"P5"):
+        raise RasterFormatError(f"unsupported magic {magic!r}")
+    gray = magic in (b"P2", b"P5")
+    if gray:
+        (w, h, maxval), pos = _read_ints(data, 2, 3)
         if w < 1 or h < 1 or not 0 < maxval < 65536:
             raise RasterFormatError("bad PGM dimensions or maxval")
         if maxval > 255:
             raise RasterFormatError("16-bit PGM is not supported")
-        if magic == b"P2":
-            vals, _ = _read_tokens(data, w * h, pos)
-            arr = np.array(vals, dtype=np.uint8).reshape(h, w)
-        else:
-            pos += 1
-            raw = data[pos : pos + w * h]
-            if len(raw) < w * h:
-                raise RasterFormatError("truncated P5 pixel data")
-            arr = np.frombuffer(raw, dtype=np.uint8).reshape(h, w)
-        if maxval != 255:
-            arr = (arr.astype(np.uint32) * 255 // maxval).astype(np.uint8)
-        return GrayRaster(arr)
-    raise RasterFormatError(f"unsupported magic {magic!r}")
+    else:
+        (w, h), pos = _read_ints(data, 2, 2)
+        if w < 1 or h < 1:
+            raise RasterFormatError("width and height must be positive")
+    if magic == b"P1":
+        body = b"".join(_TOKEN.findall(data, pos))
+        if body.translate(None, b"01"):
+            raise RasterFormatError("P1 pixel data must be 0s and 1s")
+        if len(body) < w * h:
+            raise RasterFormatError("truncated P1 pixel data")
+        return BinaryRaster((np.frombuffer(body[: w * h], dtype="S1") == b"1").reshape(h, w))
+    if magic == b"P2":
+        samples = np.array(_read_ints(data, pos, w * h)[0])
+    else:
+        if data.startswith(b"#", pos):
+            raise RasterFormatError(f"no whitespace byte before the {magic.decode()} raster")
+        size = w * h if gray else (w + 7) // 8 * h
+        raw = data[pos + 1 : pos + 1 + size]
+        if len(raw) < size:
+            raise RasterFormatError(f"truncated {magic.decode()} pixel data")
+        samples = np.frombuffer(raw, dtype=np.uint8).reshape(h, -1)
+        if not gray:
+            return BinaryRaster(np.unpackbits(samples, axis=1)[:, :w])
+    if samples.max() > maxval:
+        raise RasterFormatError(f"PGM sample above maxval {maxval}")
+    if maxval != 255:
+        samples = samples.astype(np.uint32) * 255 // maxval
+    return GrayRaster(samples.reshape(h, w))
 
 
 def load_image(path, threshold: int = 128) -> BinaryRaster:

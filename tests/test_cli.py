@@ -366,3 +366,56 @@ def test_nonpositive_size_exits_2(tmp_path, glyph_pbm, capsys):
             rc = main([command, str(glyph_pbm), str(book), "--size", size])
             assert rc == EXIT_PARSE, (command, size)
             assert "--size" in capsys.readouterr().err
+
+
+def test_thin_p2_sample_above_255_exits_2(tmp_path, capsys):
+    pgm = tmp_path / "big.pgm"
+    pgm.write_text("P2\n1 1\n255\n300\n")
+    assert main(["thin", str(pgm), str(tmp_path / "out.pbm")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sizes", ["--sizes=0,50", "--sizes=-50,50"])
+def test_build_codebook_nonpositive_size_exits_2(tmp_path, capsys, sizes):
+    """A size of 0 once divided by zero, and a negative one counted as skipped."""
+    spec = tmp_path / "corpus" / "isolated" / "vee"
+    spec.mkdir(parents=True)
+    for size in ("0", "50"):
+        write_pbm(render_glyph("vee", 50), spec / f"{size}.pbm")
+    rc = main(["build-codebook", str(tmp_path / "corpus"), "-o", str(tmp_path / "b.json"), sizes])
+    assert rc == EXIT_PARSE
+    assert "--sizes" in capsys.readouterr().err
+
+
+def test_build_codebook_binarizes_pgm_at_the_threshold(tmp_path, tuned_config, capsys):
+    """A PGM corpus with ink at 150 is blank at the default threshold 128."""
+    spec = tmp_path / "corpus" / "isolated" / "vee"
+    spec.mkdir(parents=True)
+    for size in (50, 75):
+        bits = render_glyph("vee", size).bits
+        h, w = bits.shape
+        samples = np.where(bits, 150, 255).astype(np.uint8)
+        (spec / f"{size}.pbm").write_bytes(f"P5\n{w} {h}\n255\n".encode() + samples.tobytes())
+    config_200 = tmp_path / "threshold.cfg"
+    config_200.write_text(tuned_config.read_text() + "threshold = 200\n")
+    base = ["build-codebook", str(tmp_path / "corpus"), "-o", str(tmp_path / "b.json")]
+    for extra, summary in (
+        (["--config", str(tuned_config), "--threshold", "200"], "entries=1 "),
+        (["--config", str(config_200)], "entries=1 "),
+        (["--config", str(tuned_config)], "flagged=1 "),
+    ):
+        assert main(base + extra) == EXIT_OK
+        assert summary in capsys.readouterr().out, extra
+
+
+def test_every_subcommand_takes_its_input_config_and_threshold():
+    parser = glyphcode.cli.build_parser()
+    (subcommands,) = [a for a in parser._actions if a.dest == "command"]
+    assert len(subcommands.choices) == 7
+    for name, sub in subcommands.choices.items():
+        positionals = [a.dest for a in sub._actions if not a.option_strings]
+        assert positionals[0] == ("corpus" if name == "build-codebook" else "input")
+        assert {"config", "threshold"} <= {a.dest for a in sub._actions}
+        func = getattr(glyphcode.cli, "cmd_" + name.replace("-", "_"))
+        assert sub.get_default("func") is func

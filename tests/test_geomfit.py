@@ -128,6 +128,17 @@ def test_fit_line_reads_huge_integer_valued_floats_exactly():
     assert fit_line([(1e19, 0.0), (1e19, 2048.0), (1e19, 4096.0)]) == PolarLine(1e19, 0.0)
 
 
+def test_fit_line_reads_huge_python_ints_exactly():
+    # as floats these points round to (2**53, 0), (2**53 + 2, 1), (2**53 + 4, 2)
+    pts = [(2**53 + 1, 0), (2**53 + 2, 1), (2**53 + 3, 2)]
+    exact = fit_line(Moments.of(pts))
+    assert exact.alpha == 315.0
+    assert fit_line(pts) == exact
+    assert fit_line(np.array(pts)) == exact
+    # two pixels that one float would hold are still distinct
+    assert fit_line([(2**53, 0), (2**53 + 1, 0)]).alpha == 90.0
+
+
 def test_fits_reject_a_nan_coordinate():
     pts = [(0, 0), (1, 2), (2, 5), (3, 5), (4, 2), (5, float("nan"))]
     for fit in (fit_line, fit_ellipse):

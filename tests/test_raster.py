@@ -310,6 +310,9 @@ def test_load_image_binarizes_pgm(tmp_path):
         b"P1\n2 2\n1 0 1",  # truncated pixels
         b"P1\n3 1\n1 0 x\n",  # a pixel that is neither 0 nor 1
         b"P5\n2 2\n70000\nxxxx",  # bad maxval
+        b"P2\n1 1\n255\n300\n",  # a sample above 255
+        b"P2\n1 1\n100\n200\n",  # a sample above maxval
+        b"P5\n1 1\n100\n" + bytes([200]),  # a raw sample above maxval
     ],
 )
 def test_malformed_netpbm(tmp_path, payload):
@@ -317,3 +320,29 @@ def test_malformed_netpbm(tmp_path, payload):
     path.write_bytes(payload)
     with pytest.raises(RasterFormatError):
         read_netpbm(path)
+
+
+def _netpbm_forms(bits):
+    """`bits` written as P1 (with comments between header tokens, glued to
+    a token and inside the pixel data), P4, and P2 and P5 at maxval 255
+    and 3."""
+    h, w = bits.shape
+    rows = ["".join("1" if b else "0" for b in row) for row in bits]
+    p1 = f"P1\n# made by a test\n{w}#glued to the width\n{h}\n{rows[0]}\n# body\n"
+    yield "P1", (p1 + "\n".join(" ".join(r) for r in rows[1:]) + "\n").encode()
+    yield "P4", f"P4\n{w} {h}\n".encode() + np.packbits(bits, axis=1).tobytes()
+    for maxval, ink, paper in ((255, 100, 200), (3, 1, 3)):
+        samples = np.where(bits, ink, paper)
+        text = "\n".join(" ".join(map(str, row)) for row in samples.tolist())
+        yield f"P2/{maxval}", f"P2 {w} {h} {maxval}\n{text}\n".encode()
+        yield f"P5/{maxval}", f"P5 {w} {h} {maxval}\n".encode() + samples.astype(np.uint8).tobytes()
+
+
+@pytest.mark.parametrize("size", [50, 120])
+def test_every_netpbm_form_reads_back_the_same_bits(tmp_path, size):
+    path = tmp_path / "glyph.pnm"
+    for name in DEMO_GLYPHS:
+        bits = render_glyph(name, size).bits
+        for form, data in _netpbm_forms(bits):
+            path.write_bytes(data)
+            assert np.array_equal(load_image(path).bits, bits), (name, form)
