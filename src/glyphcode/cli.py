@@ -36,6 +36,8 @@ class CommandError(Exception):
 def _load_engine_config(args) -> cfgmod.EngineConfig:
     cfg = cfgmod.load_config(args.config) if args.config else cfgmod.EngineConfig()
     if args.threshold is not None:
+        if not 0 <= args.threshold <= 255:
+            raise CommandError(EXIT_PARSE, "--threshold must be in [0, 255]")
         cfg = replace(cfg, threshold=args.threshold)
     return cfg
 

@@ -34,7 +34,7 @@ from .geomfit import (
     segment_extent,
 )
 from .raster import BinaryRaster, Stroke, components, neighbors, pixel_centroid
-from .raster import segment, thin
+from .raster import rowmajor, segment, thin
 
 __all__ = [
     "FREEMAN_NULL",
@@ -166,10 +166,6 @@ def neighbor_directions(anchors) -> list[tuple[int, int, int]]:
 # ---------------------------------------------------------------------------
 # path walking over skeleton pixels
 
-def _rowmajor(p):
-    return (p[1], p[0])
-
-
 def _walk_paths(pixels) -> list[list[tuple[int, int]]]:
     """Maximal 8-connected pixel paths covering the set, deterministically.
 
@@ -198,21 +194,21 @@ def _walk_paths(pixels) -> list[list[tuple[int, int]]]:
 
     paths = []
     while remaining:
-        cur = min(ends or remaining, key=_rowmajor)
+        cur = min(ends or remaining, key=rowmajor)
         path = [cur]
         heading = None
         while nbrs := take(cur):
             if len(nbrs) == 1:
                 nxt = nbrs[0]
             elif heading is None:
-                nxt = min(nbrs, key=_rowmajor)
+                nxt = min(nbrs, key=rowmajor)
             else:
                 def turn(n):
                     ang = math.atan2(n[1] - cur[1], n[0] - cur[0])
                     d = abs(ang - heading) % (2 * math.pi)
                     return min(d, 2 * math.pi - d)
 
-                nxt = min(nbrs, key=lambda n: (turn(n), _rowmajor(n)))
+                nxt = min(nbrs, key=lambda n: (turn(n), rowmajor(n)))
             heading = math.atan2(nxt[1] - cur[1], nxt[0] - cur[0])
             path.append(nxt)
             cur = nxt
@@ -284,7 +280,7 @@ def _absorb_stray_pixels(claimed, residual, cfg: EncoderConfig) -> None:
     changed = True
     while changed:
         changed = False
-        for p in sorted(residual, key=_rowmajor):
+        for p in sorted(residual, key=rowmajor):
             for line, run, (lo, hi) in claimed:
                 if not neighbors(p, run):
                     continue

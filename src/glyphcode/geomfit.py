@@ -102,8 +102,8 @@ class EllipseArcCode:
 
 
 def _as_points(pixels) -> np.ndarray:
-    if not isinstance(pixels, np.ndarray):
-        pixels = list(pixels)
+    if not isinstance(pixels, np.ndarray):  # no points are zero points, not a bad shape
+        pixels = list(pixels) or np.empty((0, 2))
     pts = np.asarray(pixels, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("expected a sequence of (x, y) points")
@@ -209,12 +209,10 @@ def _moments(pixels, degree: int, need: int) -> Moments:
         if pixels.sums[0] < need:
             raise DegenerateInputError(f"need at least {need} distinct pixels")
         return pixels
-    if not isinstance(pixels, np.ndarray):
-        pixels = list(pixels)
+    pixels = pixels.tolist() if isinstance(pixels, np.ndarray) else list(pixels)
     pts = _as_points(pixels)
     if np.array_equal(pts, np.round(pts)):
-        rows = pixels.tolist() if isinstance(pixels, np.ndarray) else pixels
-        coords, origin = [(int(x), int(y)) for x, y in rows], (0, 0)
+        coords, origin = [(int(x), int(y)) for x, y in pixels], (0, 0)
     else:
         coords, origin = pts.tolist(), tuple(pts.mean(axis=0).tolist())
     if len(set(map(tuple, coords))) < need:

@@ -9,9 +9,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import itemgetter
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "GrayRaster",
@@ -24,6 +24,7 @@ __all__ = [
     "components",
     "neighbors",
     "pixel_centroid",
+    "rowmajor",
     "load_image",
     "read_netpbm",
     "write_pbm",
@@ -105,7 +106,7 @@ class Stroke:
         if not self.pixels:
             raise ValueError("stroke must contain at least one pixel")
         # canonical row-major order keeps downstream encoding deterministic
-        ordered = tuple(sorted(self.pixels, key=lambda p: (p[1], p[0])))
+        ordered = tuple(sorted(self.pixels, key=rowmajor))
         object.__setattr__(self, "pixels", ordered)
         object.__setattr__(self, "centroid", pixel_centroid(ordered))
 
@@ -123,6 +124,7 @@ def binarize(image: GrayRaster, threshold: int = 128) -> BinaryRaster:
 # The 8 neighbors in the usual Zhang-Suen order p2..p9 (N, NE, E, SE, S,
 # SW, W, NW).  Bit i of a pixel's ring code is set when _RING[i] is ink.
 _RING = [(0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1)]
+rowmajor = itemgetter(1, 0)  # sort key putting (x, y) pixels in row-major order
 
 
 def _transitions(code: int) -> int:
@@ -231,20 +233,20 @@ def components(pixels) -> list[list[tuple[int, int]]]:
     """Split a pixel set into its 8-connected components.
 
     Each component lists its pixels in row-major order, and components
-    come in the row-major order of their first pixels, the order in which
-    ndimage numbers its labels.
+    come in the row-major order of their first pixels.
     """
-    if not pixels:
-        return []
-    x, y = np.array(list(pixels)).T
-    x0, y0 = x.min(), y.min()
-    bits = np.zeros((y.max() - y0 + 1, x.max() - x0 + 1), dtype=bool)
-    bits[y - y0, x - x0] = True
-    labels, count = ndimage.label(bits, structure=np.ones((3, 3)))
-    out = [[] for _ in range(count)]
-    ys, xs = np.nonzero(labels)
-    for k, x, y in zip(labels[ys, xs].tolist(), (xs + x0).tolist(), (ys + y0).tolist()):
-        out[k - 1].append((x, y))
+    todo = set(pixels)
+    out = []
+    while todo:
+        comp = [todo.pop()]
+        for x, y in comp:  # flood fill: comp grows as it is read
+            for dx, dy in _RING:
+                if (q := (x + dx, y + dy)) in todo:
+                    todo.remove(q)
+                    comp.append(q)
+        comp.sort(key=rowmajor)
+        out.append(comp)
+    out.sort(key=lambda c: rowmajor(c[0]))
     return out
 
 
@@ -262,15 +264,16 @@ def segment(image: BinaryRaster) -> list[Stroke]:
 _TOKEN = re.compile(rb"(?:\s|#[^\n]*)*([^\s#]*)")
 
 
-def _read_ints(data: bytes, pos: int, count: int) -> tuple[list[int], int]:
-    """The `count` integer tokens from `pos` on, and the offset past the last."""
+def _read_ints(data: bytes, pos: int, count: int, what: str = "header token",
+               short: str = "unexpected end of header") -> tuple[list[int], int]:
+    """The `count` integer tokens (`what`s) from `pos` on, and the offset past the last."""
     matches = list(islice(_TOKEN.finditer(data, pos), count))
     tokens = [m[1] for m in matches if m[1]]
     for tok in tokens:
         if not tok.isdigit():
-            raise RasterFormatError(f"bad header token {tok!r}")
+            raise RasterFormatError(f"bad {what} {tok!r}")
     if len(tokens) < count:
-        raise RasterFormatError("unexpected end of header")
+        raise RasterFormatError(short)
     return [int(tok) for tok in tokens], matches[-1].end()
 
 
@@ -306,7 +309,7 @@ def read_netpbm(path) -> GrayRaster | BinaryRaster:
             raise RasterFormatError("truncated P1 pixel data")
         return BinaryRaster((np.frombuffer(body[: w * h], dtype="S1") == b"1").reshape(h, w))
     if magic == b"P2":
-        samples = np.array(_read_ints(data, pos, w * h)[0])
+        samples = np.array(_read_ints(data, pos, w * h, "P2 sample", "truncated P2 pixel data")[0])
     else:
         if data.startswith(b"#", pos):
             raise RasterFormatError(f"no whitespace byte before the {magic.decode()} raster")

@@ -7,6 +7,8 @@ breadth-first-search staircase prune, and the alignment oracle
 enumerates every monotone alignment.  The reference fits build float
 design matrices from the points, where the library reads exact integer
 moments, and the reference path walk rescans for endpoints on every path.
+The reference labelling is ``scipy.ndimage.label``, where the library
+flood-fills over its own pixel ring.
 The reference arc clustering grows each run one pixel per step, where the
 library evaluates blocks of candidate ends at once.  The exact-fit
 references keep the plain forms of the library's exact steps (a tuple
@@ -22,6 +24,7 @@ from operator import itemgetter, mul
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from glyphcode import (
     BinaryRaster,
@@ -502,6 +505,23 @@ def reference_prune(bits):
     out = np.zeros(np.shape(bits), dtype=bool)
     for x, y in on:
         out[y, x] = True
+    return out
+
+
+def reference_components(pixels):
+    """8-connected components as ndimage labels them: each row-major, in
+    the row-major order of their first pixels."""
+    if not pixels:
+        return []
+    x, y = np.array(list(pixels)).T
+    x0, y0 = x.min(), y.min()
+    bits = np.zeros((y.max() - y0 + 1, x.max() - x0 + 1), dtype=bool)
+    bits[y - y0, x - x0] = True
+    labels, count = ndimage.label(bits, structure=np.ones((3, 3)))
+    out = [[] for _ in range(count)]
+    ys, xs = np.nonzero(labels)
+    for k, x, y in zip(labels[ys, xs].tolist(), (xs + x0).tolist(), (ys + y0).tolist()):
+        out[k - 1].append((x, y))
     return out
 
 

@@ -24,7 +24,7 @@ from glyphcode import (
 )
 from glyphcode.cli import EXIT_CODEBOOK, EXIT_CORPUS, EXIT_OK, EXIT_PARSE, main
 from glyphcode.raster import write_pbm
-from glyphcode.render import DEMO_GLYPHS, render_glyph
+from glyphcode.render import DEMO_GLYPHS, render_glyph, render_word_image
 
 
 @pytest.fixture
@@ -132,6 +132,14 @@ def test_fit_degenerate_input(tmp_path, capsys):
     path = tmp_path / "dot.pbm"
     write_pbm(BinaryRaster.from_pixels([(1, 1)], 3, 3), path)
     assert main(["fit", str(path), "--kind", "line"]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("kind, need", [("line", 2), ("ellipse", 5), ("both", 2)])
+def test_fit_blank_raster_reports_too_few_pixels(tmp_path, capsys, kind, need):
+    path = tmp_path / "blank.pbm"
+    path.write_text("P1\n3 2\n0 0 0\n0 0 0\n")
+    assert main(["fit", str(path), "--kind", kind]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: need at least {need} distinct pixels\n"
 
 
 def test_encode_outputs_json(glyph_pbm, tuned_config, capsys):
@@ -344,18 +352,44 @@ def test_recognize_empty_code_book_exits_4(tmp_path, glyph_pbm):
     save_codebook(
         Codebook("x", MatchTolerances(), {("vee", "isolated"): entry}), book
     )
+    proc = _run_cli("recognize", str(glyph_pbm), str(book))
+    assert proc.returncode == EXIT_CODEBOOK, proc.stderr
+    assert "error:" in proc.stderr
+
+
+def _run_cli(*argv, prelude=""):
+    """`python -m glyphcode.cli argv` in a fresh interpreter, run after `prelude`."""
     src = str(Path(glyphcode.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "glyphcode.cli", "recognize", str(glyph_pbm), str(book)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
+    run = "runpy.run_module('glyphcode.cli', run_name='__main__', alter_sys=True)"
+    script = f"import runpy, sys\n{prelude}\n{run}"
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60
     )
-    assert proc.returncode == EXIT_CODEBOOK, proc.stderr
-    assert "error:" in proc.stderr
+
+
+def test_encode_and_recognize_run_without_scipy(tmp_path, tuned_config, capsys):
+    """numpy is the only runtime dependency: with scipy blocked, a fresh
+    process encodes and recognizes a word as this one does."""
+    names = ("zig", "oval", "vee")
+    for name in names:
+        spec = tmp_path / "corpus" / "isolated" / name
+        spec.mkdir(parents=True)
+        for size in (50, 100):
+            write_pbm(render_glyph(name, size), spec / f"{size}.pbm")
+    book, word = tmp_path / "book.json", tmp_path / "word.pbm"
+    config = ["--config", str(tuned_config)]
+    assert main(["build-codebook", str(tmp_path / "corpus"), "-o", str(book)] + config) == EXIT_OK
+    write_pbm(render_word_image(names, 60), word)
+    capsys.readouterr()
+    for argv in (["encode", str(word)], ["recognize", str(word), str(book), "--size", "60"]):
+        assert main(argv + config) == EXIT_OK
+        expected = capsys.readouterr().out
+        proc = _run_cli(*argv, *config, prelude='sys.modules["scipy"] = None')
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == expected
+    assert [line.split("\t")[0] for line in expected.splitlines()] == list(names)
 
 
 def test_nonpositive_size_exits_2(tmp_path, glyph_pbm, capsys):
@@ -407,6 +441,21 @@ def test_build_codebook_binarizes_pgm_at_the_threshold(tmp_path, tuned_config, c
     ):
         assert main(base + extra) == EXIT_OK
         assert summary in capsys.readouterr().out, extra
+
+
+@pytest.mark.parametrize("threshold", ["999", "-1"])
+def test_out_of_range_threshold_exits_2_on_a_pbm(tmp_path, capsys, threshold):
+    """--threshold obeys the config file's rule even where nothing is binarized."""
+    pbm = tmp_path / "corpus" / "isolated" / "vee" / "50.pbm"
+    pbm.parent.mkdir(parents=True)
+    pbm.write_text("P1\n3 3\n0 1 0\n0 1 0\n0 1 0\n")
+    for argv in (
+        ["thin", str(pbm), str(tmp_path / "out.pbm")],
+        ["build-codebook", str(tmp_path / "corpus"), "-o", str(tmp_path / "b.json")],
+    ):
+        assert main(argv + [f"--threshold={threshold}"]) == EXIT_PARSE, argv
+        assert capsys.readouterr().err == "error: --threshold must be in [0, 255]\n"
+    assert not (tmp_path / "out.pbm").exists() and not (tmp_path / "b.json").exists()
 
 
 def test_every_subcommand_takes_its_input_config_and_threshold():

@@ -254,6 +254,14 @@ def test_fit_ellipse_too_few():
         fit_ellipse([(0, 0), (1, 2), (3, 1), (2, 5)])
 
 
+@pytest.mark.parametrize("empty", [[], (), np.zeros((0, 2))])
+def test_fits_read_empty_input_as_zero_points(empty):
+    with pytest.raises(DegenerateInputError, match="need at least 2 distinct pixels"):
+        fit_line(empty)
+    with pytest.raises(DegenerateInputError, match="need at least 5 distinct pixels"):
+        fit_ellipse(empty)
+
+
 def test_fit_ellipse_constraint_normalization():
     rng = random.Random(31)
     for _ in range(25):

@@ -1,6 +1,7 @@
 """Raster module: binarize, thinning, segmentation, netpbm I/O."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from glyphcode.render import DEMO_GLYPHS, render_glyph
 from conftest import (
     count_components,
     random_blob,
+    reference_components,
     reference_prune,
     reference_zhang_suen,
 )
@@ -244,6 +246,44 @@ def test_components_order_and_offsets():
     assert components(set()) == []
 
 
+def _random_pixel_sets(rng):
+    """Scatters around the origin, diagonal-only checkerboards, single
+    pixels, and random blobs dilated 0-2 px, at negative offsets."""
+    for _ in range(60):
+        span = rng.choice((3, 8, 20))
+        count = rng.randint(1, 2 * span)
+        yield {(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(count)}
+    for _ in range(20):
+        x0, y0 = rng.randint(-50, 50), rng.randint(-50, 50)
+        box = [(x, y) for x in range(x0, x0 + 12) for y in range(y0, y0 + 9)]
+        yield {(x, y) for x, y in box if (x + y) % 2 == 0 and rng.random() < 0.6}
+        yield {(x0, y0)}
+    for grow in range(3):
+        bits = random_blob(rng).bits
+        if grow:
+            bits = ndimage.binary_dilation(bits, np.ones((3, 3), bool), grow)
+        ys, xs = np.nonzero(bits)
+        yield {(int(x) - 20, int(y) - 30) for x, y in zip(xs, ys)}
+
+
+def test_components_match_ndimage_labels_on_random_sets():
+    rng = random.Random(23)
+    for pixels in _random_pixel_sets(rng):
+        assert components(pixels) == reference_components(pixels)
+        assert components(list(pixels)) == reference_components(pixels)
+
+
+def test_components_match_ndimage_labels_on_dilated_demo_skeletons():
+    for name in DEMO_GLYPHS:
+        bits = render_glyph(name, 60).bits
+        for grow in range(4):
+            if grow:
+                bits = ndimage.binary_dilation(bits, np.ones((3, 3), bool))
+            for image in (BinaryRaster(bits), thin(BinaryRaster(bits))):
+                pixels = image.foreground()
+                assert components(pixels) == reference_components(pixels), (name, grow)
+
+
 def test_centroid_examples():
     assert Stroke(((0, 0), (2, 0))).centroid == (1.0, 0.0)
     assert Stroke(((3, 4),)).centroid == (3.0, 4.0)
@@ -319,6 +359,22 @@ def test_malformed_netpbm(tmp_path, payload):
     path = tmp_path / "bad.pbm"
     path.write_bytes(payload)
     with pytest.raises(RasterFormatError):
+        read_netpbm(path)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (b"P2\n3 1\n255\n1 2\n", "truncated P2 pixel data"),
+        (b"P2\n3 1\n255\n1 x 3\n", "bad P2 sample b'x'"),
+        (b"P2\n3\n", "unexpected end of header"),
+        (b"P2\n3 y 255\n", "bad header token b'y'"),
+    ],
+)
+def test_p2_faults_name_the_part_they_are_in(tmp_path, payload, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(payload)
+    with pytest.raises(RasterFormatError, match=f"^{re.escape(message)}$"):
         read_netpbm(path)
 
 
