@@ -49,12 +49,11 @@ def _read_input(args):
 
 
 def _read_word(args) -> encoder.WordCode:
-    """The encoded input, scaled by 1/--size when a size is given."""
-    if args.size is not None and not 0 < args.size < math.inf:
+    """The encoded input scaled by 1/--size, the unit of every codebook."""
+    if not 0 < args.size < math.inf:
         raise CommandError(EXIT_PARSE, f"--size must be finite and positive, got {args.size}")
     cfg, image = _read_input(args)
-    word = encoder.encode_word(image, cfg.encoder)
-    return word if args.size is None else encoder.scale_word(word, 1.0 / args.size)
+    return encoder.scale_word(encoder.encode_word(image, cfg.encoder), 1.0 / args.size)
 
 
 def _write_svg(path, word: encoder.WordCode, image: raster.BinaryRaster) -> None:
@@ -132,8 +131,8 @@ def cmd_build_codebook(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError as exc:
         raise CommandError(EXIT_PARSE, f"bad sizes: {exc}") from exc
-    if any(size < 1 for size in sizes):
-        raise CommandError(EXIT_PARSE, f"--sizes must be positive integers, got {args.sizes}")
+    if not sizes or any(size < 1 for size in sizes):
+        raise CommandError(EXIT_PARSE, f"--sizes must list positive integers, got {args.sizes!r}")
     try:
         book = cb.build_codebook(
             args.corpus, cb.arabic_connectivity(), sizes, cfg.encoder, cfg.tolerances,
@@ -196,13 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--sizes", default="50,75,100", help="comma-separated positive px sizes")
     p.add_argument("--font", help="font name (default: corpus dir name)")
-    size_help = "nominal render size for scale normalization"
+    size_help = "render size of the input, px; codebooks hold codes scaled by 1/size"
     p = command("recognize", cmd_recognize, "recognize glyphs in an image")
     p.add_argument("codebook")
-    p.add_argument("--size", type=float, help=size_help)
+    p.add_argument("--size", type=float, required=True, help=size_help)
     p = command("identify-font", cmd_identify_font, "identify the font of an image")
     p.add_argument("codebooks", nargs="+")
-    p.add_argument("--size", type=float, help=size_help)
+    p.add_argument("--size", type=float, required=True, help=size_help)
     return parser
 
 

@@ -24,7 +24,6 @@ from .geomfit import (
     LineSegmentCode,
     Moments,
     NonEllipseError,
-    PolarLine,
     arc_angles,
     conic_to_geometric,
     fit_ellipse,
@@ -224,12 +223,12 @@ def extract_lines(stroke: Stroke, cfg: EncoderConfig):
     refitting after every append.  Runs whose projected extent exceeds
     `l_min` are kept as segments and claim their pixels (the terminating
     corner pixel stays with the just-closed run); everything else ends up
-    in the residual set.  A kept run carries its line and extent to
-    `_absorb_stray_pixels`.
+    in the residual set.  Staircase pixels beside a run need no handling
+    here: `thin` has already pruned them.
     """
     if not stroke.pixels:
         raise ValueError("stroke must be nonempty")
-    claimed: list[tuple[PolarLine, set, tuple[float, float]]] = []
+    out = []
     residual: set[tuple[int, int]] = set()
     for path in _walk_paths(stroke.pixels):
         rows = Moments.prefix(path)  # path[i:j] has moments rows[j] - rows[i]
@@ -250,50 +249,15 @@ def extract_lines(stroke: Stroke, cfg: EncoderConfig):
                 point_line_distance(p, line) > cfg.dd for p in path[i:j]
             ):
                 j -= 1
-                if j - i > 2:  # cut to two pixels, the run keeps its 3-pixel fit
-                    line = fit_line(rows[j] - rows[i])
+                line = fit_line(rows[j] - rows[i])
             run = path[i:j]
             lo, hi = segment_extent(run, line)
             if hi - lo > cfg.l_min:
-                claimed.append((line, set(run), (lo, hi)))
+                out.append((LineSegmentCode(line.p, line.alpha, hi - lo), frozenset(run)))
             else:
                 residual.update(run)
             i = j
-    _absorb_stray_pixels(claimed, residual, cfg)
-    out = []
-    for _, run, _ in claimed:
-        line = fit_line(Moments.of(run))
-        lo, hi = segment_extent(run, line)
-        out.append((LineSegmentCode(line.p, line.alpha, hi - lo), frozenset(run)))
     return out, residual
-
-
-def _absorb_stray_pixels(claimed, residual, cfg: EncoderConfig) -> None:
-    """Fold skeleton staircase strays back into adjacent straight runs.
-
-    Thinning leaves occasional pixels parallel to a digital line; the
-    path walk strands them.  A residual pixel 8-adjacent to a claimed run
-    is absorbed when it lies within `dd` of the run's line and within 0.5
-    px of the run's projected extent as it was claimed (so runs never
-    creep along their own axis).
-    """
-    changed = True
-    while changed:
-        changed = False
-        for p in sorted(residual, key=rowmajor):
-            for line, run, (lo, hi) in claimed:
-                if not neighbors(p, run):
-                    continue
-                if point_line_distance(p, line) > cfg.dd:
-                    continue
-                c, s = line.normal
-                t = p[0] * -s + p[1] * c  # as lo, hi were
-                if not lo - 0.5 <= t <= hi + 0.5:
-                    continue
-                run.add(p)
-                residual.discard(p)
-                changed = True
-                break
 
 
 def _arc_from_run(run, coef: EllipseCoefficients | None) -> EllipseArcCode | None:

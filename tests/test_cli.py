@@ -308,14 +308,14 @@ def test_build_codebook_unreadable_raster_exits_3(tmp_path, capsys):
 def test_recognize_corrupt_codebook(tmp_path, glyph_pbm):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert main(["recognize", str(glyph_pbm), str(bad)]) == EXIT_CODEBOOK
+    assert main(["recognize", str(glyph_pbm), str(bad), "--size", "60"]) == EXIT_CODEBOOK
 
 
 def test_recognize_overflowing_skipped_exits_4(tmp_path, glyph_pbm, capsys):
     book = tmp_path / "book.json"
     save_codebook(Codebook("x", MatchTolerances()), book)
     book.write_text(book.read_text().replace('"skipped": 0', '"skipped": 1e400'))
-    assert main(["recognize", str(glyph_pbm), str(book)]) == EXIT_CODEBOOK
+    assert main(["recognize", str(glyph_pbm), str(book), "--size", "60"]) == EXIT_CODEBOOK
     assert "skipped" in capsys.readouterr().err
 
 
@@ -334,7 +334,7 @@ def test_recognize_unmatched_is_ok(tmp_path, corpus_dir, tuned_config, capsys):
     capsys.readouterr()
     blank = tmp_path / "blank.pbm"
     write_pbm(BinaryRaster(np.zeros((8, 8), dtype=bool)), blank)
-    assert main(["recognize", str(blank), str(book)]) == EXIT_OK
+    assert main(["recognize", str(blank), str(book), "--size", "60"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == ""
 
 
@@ -352,7 +352,7 @@ def test_recognize_empty_code_book_exits_4(tmp_path, glyph_pbm):
     save_codebook(
         Codebook("x", MatchTolerances(), {("vee", "isolated"): entry}), book
     )
-    proc = _run_cli("recognize", str(glyph_pbm), str(book))
+    proc = _run_cli("recognize", str(glyph_pbm), str(book), "--size", "60")
     assert proc.returncode == EXIT_CODEBOOK, proc.stderr
     assert "error:" in proc.stderr
 
@@ -402,6 +402,18 @@ def test_nonpositive_size_exits_2(tmp_path, glyph_pbm, capsys):
             assert "--size" in capsys.readouterr().err
 
 
+def test_recognize_and_identify_font_require_size(tmp_path, glyph_pbm, capsys):
+    """Every codebook holds codes scaled by 1/size, so an unscaled probe
+    would be compared in the wrong unit."""
+    book = tmp_path / "book.json"
+    save_codebook(Codebook("x", MatchTolerances()), book)
+    for command in ("recognize", "identify-font"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(glyph_pbm), str(book)])
+        assert exc.value.code == EXIT_PARSE, command
+        assert "--size" in capsys.readouterr().err
+
+
 def test_thin_p2_sample_above_255_exits_2(tmp_path, capsys):
     pgm = tmp_path / "big.pgm"
     pgm.write_text("P2\n1 1\n255\n300\n")
@@ -410,9 +422,10 @@ def test_thin_p2_sample_above_255_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("sizes", ["--sizes=0,50", "--sizes=-50,50"])
+@pytest.mark.parametrize("sizes", ["--sizes=0,50", "--sizes=-50,50", "--sizes=", "--sizes=,"])
 def test_build_codebook_nonpositive_size_exits_2(tmp_path, capsys, sizes):
-    """A size of 0 once divided by zero, and a negative one counted as skipped."""
+    """A size of 0 once divided by zero, a negative one counted as skipped,
+    and an empty list blamed the corpus with exit 3."""
     spec = tmp_path / "corpus" / "isolated" / "vee"
     spec.mkdir(parents=True)
     for size in ("0", "50"):

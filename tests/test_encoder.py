@@ -1,6 +1,7 @@
 """Encoder: Freeman directions, decomposition, sub-word/word codes, JSON."""
 
 import gc
+import itertools
 import json
 import math
 import random
@@ -186,26 +187,58 @@ def _polyline(*corners):
 
 
 @pytest.mark.parametrize(
-    "end, stray, absorbed", [((18, -1), (8, 3), True), ((16, 8), (13, 3), False)]
+    "end, stray, within_half", [((18, -1), (8, 3), True), ((16, 8), (13, 3), False)]
 )
-def test_extract_lines_absorbs_strays_within_half_a_pixel_of_the_extent(
-    end, stray, absorbed
+def test_extract_lines_leaves_strays_beside_a_run_in_the_residual(
+    end, stray, within_half
 ):
     """The walk strands `stray` beside one straight run, within `dd` of its
-    line and past the last pixel's projection; it joins the run when it
-    projects within 0.5 px of the run's extent, and stays residual past
-    that."""
+    line and past the last pixel's projection, within 0.5 px of the run's
+    extent or beyond that.  Either way it stays residual: staircase
+    pixels are removed by `thin`, not folded into runs."""
     cfg = EncoderConfig(dd=1.2, l_min=4.0)
     stroke = Stroke(tuple(_polyline((0, 0), (10, 2), end) + [stray]))
     segs, residual = extract_lines(stroke, cfg)
-    (run,) = [sorted(px - {stray}) for _, px in segs if neighbors(stray, px)]
-    line = fit_line(run)  # exact moments: the line the run was claimed with
+    assert residual == {stray}
+    (run,) = [sorted(px) for _, px in segs if neighbors(stray, px)]
+    line = fit_line(run)
     lo, hi = segment_extent(run, line)
     t = segment_extent([stray, stray], line)[0]
     assert point_line_distance(stray, line) <= cfg.dd
-    assert hi < t <= hi + 0.5 if absorbed else hi + 0.5 < t < hi + 1
-    assert (stray in residual) is not absorbed
-    assert residual == (set() if absorbed else {stray})
+    assert hi < t <= hi + 0.5 if within_half else hi + 0.5 < t < hi + 1
+
+
+# zig has a junction pixel beside a run at 31 px with 1 px of dilation
+@pytest.mark.parametrize("size", (30, 31, 51, 72, 96, 128))
+def test_thinned_glyphs_leave_no_stray_beside_a_run(size):
+    """The staircase prune in `thin` leaves no stray pixel beside a run.
+
+    On thinned demo glyphs with 1-4 px of ink, under the criterion-7 and
+    the default settings, a residual pixel that is 8-adjacent to a claimed
+    run, within `dd` of its line and within 0.5 px of its extent at once
+    always has a residual neighbour too: it joins the run to a branch
+    left in the residual, a junction no prune can delete, not a stray."""
+    configs = (EncoderConfig(dd=1.0, l_min=22.0, e_res=0.5), EncoderConfig())
+    for name in DEMO_GLYPHS:
+        bits = render_glyph(name, size, margin=6).bits
+        for grow in range(4):
+            if grow:
+                bits = ndimage.binary_dilation(bits, structure=np.ones((3, 3), bool))
+            for stroke, cfg in itertools.product(segment(thin(BinaryRaster(bits))), configs):
+                if len(stroke.pixels) <= cfg.dot_max:
+                    continue
+                segs, residual = extract_lines(stroke, cfg)
+                for _, run in segs:
+                    line = fit_line(run)
+                    lo, hi = segment_extent(run, line)
+                    for p in residual:
+                        t = segment_extent([p, p], line)[0]
+                        assert not (
+                            neighbors(p, run)
+                            and point_line_distance(p, line) <= cfg.dd
+                            and lo - 0.5 <= t <= hi + 0.5
+                            and not neighbors(p, residual)
+                        ), (name, size, grow, cfg, p)
 
 
 # ---------------------------------------------------------------------------
