@@ -25,10 +25,6 @@ from glyphcode import (
 from glyphcode.raster import write_pbm
 from glyphcode.render import DEMO_GLYPHS, render_glyph, render_word_image
 
-CFG = EncoderConfig(dd=1.0, l_min=22.0, e_res=0.5)
-TOL = MatchTolerances(
-    dl=0.08, dalpha=6, da=0.04, db=0.04, dphi=12, dbeta=15, dgamma=15, dpt=0.05
-)
 SIZES = (50, 75, 100)
 PROBE = 60
 
@@ -45,7 +41,9 @@ def main():
         table = ConnectivityTable(
             tuple((n, False, False) for n in DEMO_GLYPHS), connector="NONE"
         )
-        book = build_codebook(corpus, table, list(SIZES), CFG, TOL, font="demo")
+        book = build_codebook(
+            corpus, table, list(SIZES), EncoderConfig(), MatchTolerances(), font="demo"
+        )
         build_fingerprints([book])
         print(
             f"codebook: {len(book.entries)} entries, "
@@ -58,8 +56,8 @@ def main():
     for _ in range(40):
         truth = [rng.choice(names) for _ in range(rng.randint(2, 3))]
         img = render_word_image(truth, PROBE)
-        word = scale_word(encode_word(img, CFG), 1.0 / PROBE)
-        got = [g for g, _, _ in recognize(word, book, TOL)]
+        word = scale_word(encode_word(img), 1.0 / PROBE)
+        got = [g for g, _, _ in recognize(word, book, book.tolerances)]
         hit = got == truth
         total += len(truth)
         correct += sum(a == b for a, b in zip(truth, got))

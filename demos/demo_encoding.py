@@ -10,12 +10,10 @@ the fitted primitives on top of the skeleton for visual inspection.
 import sys
 from pathlib import Path
 
-from glyphcode import EncoderConfig, encode_word
+from glyphcode import encode_word
 from glyphcode.encoder import word_to_json
 from glyphcode.raster import thin
 from glyphcode.render import render_glyph, render_word_image, svg_overlay
-
-CFG = EncoderConfig(dd=1.0, l_min=22.0, e_res=0.5)
 
 
 def describe(word):
@@ -42,7 +40,7 @@ def main():
 
     for name in ("vee", "zig", "oval", "jay"):
         img = render_glyph(name, 80)
-        word = encode_word(img, CFG)
+        word = encode_word(img)
         print(f"glyph '{name}':")
         describe(word)
         (outdir / f"{name}.svg").write_text(svg_overlay(word, thin(img)))
@@ -50,7 +48,7 @@ def main():
     print()
     print("three-glyph word image:")
     img = render_word_image(["vee", "oval", "zig"], 80)
-    word = encode_word(img, CFG)
+    word = encode_word(img)
     describe(word)
     (outdir / "word.svg").write_text(svg_overlay(word, thin(img)))
     (outdir / "word.json").write_text(word_to_json(word, indent=1))

@@ -315,17 +315,17 @@ def build_codebook(
     return book
 
 
-def build_fingerprints(books, t: MatchTolerances | None = None):
-    """Set each font's fingerprint to its codes unique among the books."""
+def build_fingerprints(books):
+    """Set each font's fingerprint to its codes unique among the books,
+    compared under each book's own tolerances."""
     books = list(books)
     if not books:
         raise ValueError("need at least one codebook")
     for book in books:
-        tol = t or book.tolerances
         unique = []
         for cc in book.entries.values():
             clash = any(
-                sequence_equiv(cc.code.elements, other_cc.code.elements, tol)
+                sequence_equiv(cc.code.elements, other_cc.code.elements, book.tolerances)
                 for other in books
                 if other is not book
                 for other_cc in other.entries.values()

@@ -49,6 +49,14 @@ _POSITIVE_KEYS = {
 }
 
 
+def _convert(conv, value: str, lineno: int, key: str):
+    try:
+        return conv(value)
+    except ValueError:
+        kind = "an integer" if conv is int else "a number"
+        raise ValueError(f"line {lineno}: {key} must be {kind}, got {value!r}") from None
+
+
 def parse_config(text: str) -> EngineConfig:
     cfg = EngineConfig()
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -60,13 +68,13 @@ def parse_config(text: str) -> EngineConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key in _POSITIVE_KEYS:
             section, attr, conv = _POSITIVE_KEYS[key]
-            val = conv(value)
+            val = _convert(conv, value, lineno, key)
             if not 0 < val < math.inf:
                 raise ValueError(f"line {lineno}: {key} must be finite and positive")
             part = replace(getattr(cfg, section), **{attr: val})
             cfg = replace(cfg, **{section: part})
         elif key == "threshold":
-            val = int(value)
+            val = _convert(int, value, lineno, key)
             if not 0 <= val <= 255:
                 raise ValueError(f"line {lineno}: threshold must be in [0, 255]")
             cfg = replace(cfg, threshold=val)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import astuple, dataclass, fields, replace
-from itertools import combinations
+from itertools import chain, count
 from operator import itemgetter
 
 import numpy as np
@@ -119,7 +119,7 @@ class EncoderConfig:
     """
 
     dd: float = 1.0
-    l_min: float = 4.0
+    l_min: float = 22.0
     e_res: float = 0.5
     dot_max: int = 9
 
@@ -315,6 +315,40 @@ def _merged_arc(a, b, cfg: EncoderConfig):
     return None if code is None else (union, code)
 
 
+def _rejoin_arcs(arcs, cfg: EncoderConfig) -> None:
+    """Merge (run, arc code) pairs in place, first pair first in the
+    order of `combinations`, while a union fits one ellipse; the union
+    takes the first run's place.
+
+    After a merge into index ia, every earlier pair without the union has
+    already failed, so the scan tries the pairs (x, ia), x < ia, and then
+    resumes at (ia, ia + 1).  A union depends only on its two runs, so a
+    failed pair is remembered by the runs' serial numbers (ids get reused)
+    and never refitted.
+    """
+    serials = list(range(len(arcs)))
+    fresh = count(len(arcs))
+    failed: set[tuple[int, int]] = set()
+    start = 0
+    while True:
+        n = len(arcs)
+        pairs = chain(
+            ((x, start) for x in range(start)),
+            ((a, b) for a in range(start, n) for b in range(a + 1, n)),
+        )
+        for ia, ib in pairs:
+            key = (serials[ia], serials[ib])
+            if key not in failed:
+                if merged := _merged_arc(arcs[ia][0], arcs[ib][0], cfg):
+                    break
+                failed.add(key)
+        else:
+            return
+        arcs[ia], serials[ia] = merged, next(fresh)
+        del arcs[ib], serials[ib]
+        start = ia
+
+
 def cluster_ellipses(residual, cfg: EncoderConfig):
     """Group leftover pixels into ellipse-arc runs.
 
@@ -383,17 +417,7 @@ def cluster_ellipses(residual, cfg: EncoderConfig):
                 i = j
         # incremental growth is brittle on shallow partial arcs: re-join
         # runs, first pair first, while a union still fits a single ellipse
-        while hit := next(
-            (
-                (ia, ib, merged)
-                for ia, ib in combinations(range(len(comp_arcs)), 2)
-                if (merged := _merged_arc(comp_arcs[ia][0], comp_arcs[ib][0], cfg))
-            ),
-            None,
-        ):
-            ia, ib, merged = hit
-            comp_arcs[ia] = merged
-            del comp_arcs[ib]
+        _rejoin_arcs(comp_arcs, cfg)
         # merge undersized runs into the nearest accepted run in the component
         for small in comp_small:
             if comp_arcs:
@@ -435,9 +459,8 @@ def encode_stroke(stroke: Stroke, cfg: EncoderConfig) -> SubWordCode:
     )
 
 
-def encode_word(image: BinaryRaster, cfg: EncoderConfig | None = None) -> WordCode:
+def encode_word(image: BinaryRaster, cfg: EncoderConfig = EncoderConfig()) -> WordCode:
     """Full pipeline: thin, segment, order, encode, relate sub-words."""
-    cfg = cfg or EncoderConfig()
     skeleton = thin(image)
     strokes = order_strokes(segment(skeleton))
     if not strokes:

@@ -12,7 +12,7 @@ directions exactly, including 9s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .encoder import (
     FREEMAN_NULL,
@@ -48,29 +48,20 @@ __all__ = [
 class MatchTolerances:
     """Accuracy factors for code comparison.
 
-    Lengths/axes in px, angles in degrees.  `dpt` is accepted for config
-    compatibility but unused: points compare position-independently like
-    every other primitive.
+    Lengths and axes are in the unit of the codes compared: the glyph size
+    for every codebook, which holds codes scaled by 1/size.  Angles are in
+    degrees.  `dpt` is accepted for config compatibility but unused:
+    points compare position-independently like every other primitive.
     """
 
-    dl: float = 2.0
-    dalpha: float = 5.0
-    da: float = 2.0
-    db: float = 2.0
-    dphi: float = 5.0
-    dbeta: float = 5.0
-    dgamma: float = 5.0
-    dpt: float = 2.0
-
-    def scaled(self, factor: float) -> "MatchTolerances":
-        """Length-like tolerances multiplied by `factor`; angles unchanged."""
-        return replace(
-            self,
-            dl=self.dl * factor,
-            da=self.da * factor,
-            db=self.db * factor,
-            dpt=self.dpt * factor,
-        )
+    dl: float = 0.08
+    dalpha: float = 6.0
+    da: float = 0.04
+    db: float = 0.04
+    dphi: float = 12.0
+    dbeta: float = 15.0
+    dgamma: float = 15.0
+    dpt: float = 0.05
 
 
 def angdist180(a: float, b: float) -> float:
@@ -206,8 +197,8 @@ def element_match(ci: CodedElement, dseq, q: int, k: int, t: MatchTolerances) ->
     """
     if k < 1:
         raise IndexError("k must be at least 1")
-    if not 0 <= q + k < len(dseq):
-        raise IndexError("q + k outside the target sequence")
+    if q < 0 or q + k >= len(dseq):
+        raise IndexError("q or q + k outside the target sequence")
     if not primitive_subset(ci.code, dseq[q + k].code, t):
         return False
     for j in range(3):
@@ -234,8 +225,11 @@ def subset_alignment(cseq, dseq, t: MatchTolerances, anchor: int | None = None):
     the direction sum over d[r_{i-1}+1 .. r_i].  The search is depth-first
     over an explicit stack and returns the earliest alignment; `dead`
     holds the (element index, previous position) states that have no
-    completion.
+    completion.  A negative `anchor` raises IndexError; one past the end
+    gives None.
     """
+    if anchor is not None and anchor < 0:
+        raise IndexError("anchor must be at least 0")
     n, m = len(cseq), len(dseq)
     if n == 0:
         return []

@@ -33,6 +33,7 @@ from glyphcode import (
     EllipseArcCode,
     EllipseCoefficients,
     LineSegmentCode,
+    MatchTolerances,
     Moments,
     NumericalFitError,
     PointCode,
@@ -43,6 +44,12 @@ from glyphcode.encoder import _arc_from_run, _walk_paths
 from glyphcode.geomfit import _moments, sampson_residual
 from glyphcode.matcher import element_match, element_subset
 from glyphcode.raster import components, neighbors, pixel_centroid
+
+# tolerances sized for codes in pixel units, where the defaults are sized
+# for codes scaled by 1/size; the pixel-unit relation tests use these
+PIXEL_TOLERANCES = MatchTolerances(
+    dl=2.0, dalpha=5.0, da=2.0, db=2.0, dphi=5.0, dbeta=5.0, dgamma=5.0, dpt=2.0
+)
 
 # ---------------------------------------------------------------------------
 # brute-force polar line oracle

@@ -38,6 +38,7 @@ from glyphcode.matcher import primitive_equiv, primitive_subset
 from glyphcode.raster import write_pbm
 from glyphcode.render import DEMO_GLYPHS, render_glyph, render_word_image
 from conftest import (
+    PIXEL_TOLERANCES,
     alignment_oracle,
     count_components,
     grid_line_oracle,
@@ -199,7 +200,7 @@ def test_criterion_5_enumeration_counts():
 
 def test_criterion_6_matcher_oracle_agreement():
     rng = random.Random(6)
-    t = MatchTolerances()
+    t = PIXEL_TOLERANCES
     for _ in range(10_000):
         c = random_sequence(rng, 5)
         d = random_sequence(rng, 5)
@@ -208,7 +209,7 @@ def test_criterion_6_matcher_oracle_agreement():
 
 def test_criterion_6_matcher_relation_properties():
     rng = random.Random(66)
-    t = MatchTolerances()
+    t = PIXEL_TOLERANCES
     bigger = MatchTolerances(
         dl=t.dl * 2,
         dalpha=t.dalpha * 2,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from glyphcode import (
     BinaryRaster,
     CharacterCode,
     Codebook,
+    EncoderConfig,
     EngineConfig,
     MatchTolerances,
     Position,
@@ -60,6 +62,34 @@ def tuned_config(tmp_path):
 def test_parse_config_defaults():
     cfg = parse_config("")
     assert cfg == EngineConfig()
+
+
+def test_defaults_are_the_criterion_7_settings():
+    assert EncoderConfig() == EncoderConfig(dd=1.0, l_min=22.0, e_res=0.5)
+    assert MatchTolerances() == MatchTolerances(
+        dl=0.08, dalpha=6, da=0.04, db=0.04, dphi=12, dbeta=15, dgamma=15, dpt=0.05
+    )
+    assert EngineConfig() == EngineConfig(EncoderConfig(), MatchTolerances(), 128)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# c\nl_min = abc", "line 2: l_min must be a number, got 'abc'"),
+        ("dot_max = 2.5", "line 1: dot_max must be an integer, got '2.5'"),
+        ("threshold = x", "line 1: threshold must be an integer, got 'x'"),
+        ("\n\ndelta_l =", "line 3: delta_l must be a number, got ''"),
+    ],
+)
+def test_parse_config_conversion_errors_name_line_and_key(
+    text, message, tmp_path, glyph_pbm, capsys
+):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_config(text)
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main(["segment", str(glyph_pbm), "--config", str(path)]) == EXIT_PARSE
+    assert message in capsys.readouterr().err
 
 
 def test_parse_config_values():
@@ -268,6 +298,26 @@ def test_build_codebook_and_recognize(
     )
     assert rc == EXIT_OK
     assert capsys.readouterr().out.strip() == "demo"
+
+
+def test_build_codebook_and_recognize_read_a_word_with_the_defaults(
+    corpus_dir, tmp_path, capsys
+):
+    """Without --config both calls run the default settings, which read
+    README's example word; `l_min` 4 px once coded `oval` as a polygon
+    whose side matched `hline`."""
+    book = tmp_path / "book.json"
+    assert main(["build-codebook", str(corpus_dir), "-o", str(book)]) == EXIT_OK
+    capsys.readouterr()
+    probe = tmp_path / "word.pbm"
+    write_pbm(render_word_image(("zig", "oval", "vee"), 60), probe)
+    assert main(["recognize", str(probe), str(book), "--size", "60"]) == EXIT_OK
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert rows == [
+        ["zig", "isolated", "0", "0"],
+        ["oval", "isolated", "1", "0"],
+        ["vee", "isolated", "2", "0"],
+    ]
 
 
 def test_build_codebook_missing_corpus(tmp_path):

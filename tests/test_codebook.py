@@ -134,7 +134,11 @@ def test_common_code_planted_core():
     a = _seq(*core, PointCode(1, 1))
     b = _seq(*core)
     c = _seq(*core, PointCode(9, 9))
-    out = extract_common_code([a, b, c], [1, 1, 1], TOL.scaled(1 / 0.05))
+    # the criterion-7 tolerances for codes at 20 units per glyph size
+    tol = MatchTolerances(
+        dl=1.6, dalpha=6, da=0.8, db=0.8, dphi=12, dbeta=15, dgamma=15, dpt=1.0
+    )
+    out = extract_common_code([a, b, c], [1, 1, 1], tol)
     kinds = [type(e.code) for e in out.elements]
     assert kinds == [LineSegmentCode, EllipseArcCode, LineSegmentCode]
 

@@ -26,9 +26,13 @@ from glyphcode import (
 )
 from glyphcode.encoder import WordEntry
 from glyphcode.matcher import primitive_equiv, primitive_subset, subset_alignment
-from conftest import alignment_oracle, random_element, random_primitive, random_sequence
-
-T = MatchTolerances()
+from conftest import (
+    PIXEL_TOLERANCES as T,
+    alignment_oracle,
+    random_element,
+    random_primitive,
+    random_sequence,
+)
 
 
 def arc(a=10, b=4, phi=0, beta=0, gamma=90, x0=0, y0=0):
@@ -165,6 +169,19 @@ def test_element_match_index_errors():
         element_match(el(), dseq, 0, 0, T)
     with pytest.raises(IndexError):
         element_match(el(), dseq, 1, 5, T)
+
+
+def test_negative_positions_raise_instead_of_wrapping():
+    """A negative position would index from the end of the sequence."""
+    a, b = el(LineSegmentCode(0, 0, 10)), el(arc())
+    d = [a, b, a]
+    with pytest.raises(IndexError):
+        element_match(a, d, -2, 2, T)
+    with pytest.raises(IndexError):
+        subset_alignment([a], d, T, anchor=-1)
+    with pytest.raises(IndexError):
+        subset_alignment([a, b], d, T, anchor=-3)
+    assert subset_alignment([a], d, T, anchor=3) is None
 
 
 # ---------------------------------------------------------------------------
