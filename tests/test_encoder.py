@@ -214,10 +214,11 @@ def test_thinned_glyphs_leave_no_stray_beside_a_run(size):
     """The staircase prune in `thin` leaves no stray pixel beside a run.
 
     On thinned demo glyphs with 1-4 px of ink, under the criterion-7
-    settings and with `l_min` 4 px, a residual pixel that is 8-adjacent to a claimed
-    run, within `dd` of its line and within 0.5 px of its extent at once
-    always has a residual neighbour too: it joins the run to a branch
-    left in the residual, a junction no prune can delete, not a stray."""
+    settings and with `l_min` 4 px, a residual pixel that is 8-adjacent
+    to a claimed run, within `dd` of its line and within 0.5 px of its
+    extent at once always has a residual neighbour too: it joins the run
+    to a branch left in the residual, a junction no prune can delete,
+    not a stray."""
     configs = (EncoderConfig(dd=1.0, l_min=22.0, e_res=0.5), EncoderConfig(l_min=4.0))
     for name in DEMO_GLYPHS:
         bits = render_glyph(name, size, margin=6).bits
