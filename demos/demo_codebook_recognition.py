@@ -17,7 +17,6 @@ from glyphcode import (
     EncoderConfig,
     MatchTolerances,
     build_codebook,
-    build_fingerprints,
     encode_word,
     recognize,
     scale_word,
@@ -44,7 +43,6 @@ def main():
         book = build_codebook(
             corpus, table, list(SIZES), EncoderConfig(), MatchTolerances(), font="demo"
         )
-        build_fingerprints([book])
         print(
             f"codebook: {len(book.entries)} entries, "
             f"{len(book.flagged)} flagged, {book.skipped} rasters skipped"

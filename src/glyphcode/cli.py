@@ -160,9 +160,9 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_identify_font(args) -> int:
-    books = [cb.load_codebook(p) for p in args.codebooks]
+    books = cb.build_fingerprints([cb.load_codebook(p) for p in args.codebooks])
     word = _read_word(args)
-    name = cb.identify_font(word, books, books[0].tolerances)
+    name = cb.identify_font(word, books)
     print(name if name else "unknown")
     return EXIT_OK
 

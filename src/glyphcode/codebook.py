@@ -156,8 +156,6 @@ def enumerate_subwords(table: ConnectivityTable, position: Position):
     which reproduces the |R|, |L|, and |L|x|R| counts of the reference
     connectivity table.
     """
-    if not table.entries:
-        return []
     k = table.connector
     r = table.right_connective
     l = table.left_connective
@@ -336,15 +334,16 @@ def build_fingerprints(books):
     return books
 
 
-def identify_font(word: WordCode, books, t: MatchTolerances) -> str | None:
-    """Font whose fingerprint hits the word most; None on ties or no hits."""
+def identify_font(word: WordCode, books) -> str | None:
+    """Font whose fingerprint hits the word most, each book's fingerprint
+    matched under its own tolerances; None on ties or no hits."""
     scores = []
     for book in books:
-        hits = sum(len(find_matches(word, code, t)) for code in book.fingerprint)
+        hits = sum(
+            len(find_matches(word, code, book.tolerances)) for code in book.fingerprint
+        )
         scores.append((hits, book.font))
-    if not scores:
-        return None
-    best = max(h for h, _ in scores)
+    best = max((h for h, _ in scores), default=0)
     if best == 0:
         return None
     winners = [f for h, f in scores if h == best]

@@ -226,8 +226,6 @@ def extract_lines(stroke: Stroke, cfg: EncoderConfig):
     in the residual set.  Staircase pixels beside a run need no handling
     here: `thin` has already pruned them.
     """
-    if not stroke.pixels:
-        raise ValueError("stroke must be nonempty")
     out = []
     residual: set[tuple[int, int]] = set()
     for path in _walk_paths(stroke.pixels):
@@ -463,8 +461,6 @@ def encode_word(image: BinaryRaster, cfg: EncoderConfig = EncoderConfig()) -> Wo
     """Full pipeline: thin, segment, order, encode, relate sub-words."""
     skeleton = thin(image)
     strokes = order_strokes(segment(skeleton))
-    if not strokes:
-        return WordCode(())
     codes = [encode_stroke(s, cfg) for s in strokes]
     dirs = neighbor_directions([s.centroid for s in strokes])
     return WordCode(

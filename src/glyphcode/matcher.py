@@ -233,8 +233,6 @@ def subset_alignment(cseq, dseq, t: MatchTolerances, anchor: int | None = None):
     n, m = len(cseq), len(dseq)
     if n == 0:
         return []
-    if n > m:
-        return None
     dead: set[tuple[int, int]] = set()
     for j in [anchor] if anchor is not None else range(m - n + 1):
         if j > m - n or not element_subset(cseq[0], dseq[j], t):

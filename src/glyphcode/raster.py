@@ -47,14 +47,6 @@ class GrayRaster:
             raise ValueError("samples must be a non-empty 2-D array")
         object.__setattr__(self, "samples", s)
 
-    @property
-    def width(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.samples.shape[0]
-
 
 @dataclass(frozen=True)
 class BinaryRaster:

@@ -320,6 +320,27 @@ def test_build_codebook_and_recognize_read_a_word_with_the_defaults(
     ]
 
 
+def test_identify_font_compares_the_fonts_unique_codes(tmp_path, capsys):
+    """Font B draws its `vbar` with the strokes of `vline`, which both
+    fonts hold, so only A's `oval` tells the fonts apart. Counting every
+    entry of each book once read this word as a tie, `unknown`."""
+    books = []
+    for font, glyphs in (("A", {"vline": "vline", "oval": "oval"}),
+                         ("B", {"vline": "vline", "vbar": "vline"})):
+        for name, drawn in glyphs.items():
+            spec = tmp_path / font / "isolated" / name
+            spec.mkdir(parents=True)
+            for size in (50, 75, 100):
+                write_pbm(render_glyph(drawn, size), spec / f"{size}.pbm")
+        books.append(str(tmp_path / f"{font}.json"))
+        assert main(["build-codebook", str(tmp_path / font), "-o", books[-1]]) == EXIT_OK
+    word = tmp_path / "word.pbm"
+    write_pbm(render_word_image(("vline", "oval"), 60), word)
+    capsys.readouterr()
+    assert main(["identify-font", str(word), *books, "--size", "60"]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "A"
+
+
 def test_build_codebook_missing_corpus(tmp_path):
     rc = main(
         ["build-codebook", str(tmp_path / "nope"), "-o", str(tmp_path / "b")]

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -83,7 +84,8 @@ def test_enumeration_toy_table_brute_force():
 
 
 def test_enumeration_empty_table():
-    assert enumerate_subwords(ConnectivityTable(()), Position.MIDDLE) == []
+    for position in Position:
+        assert enumerate_subwords(ConnectivityTable(()), position) == []
 
 
 def test_subword_spec_target_index():
@@ -276,14 +278,34 @@ def test_differing_glyph_yields_fingerprint(demo_corpus):
 
     # a word showing font a's unique vline points at font a
     word = scale_word(encode_word(render_glyph("vline", 60), CFG), 1.0 / 60)
-    assert identify_font(word, [a, b], TOL) == "a"
+    assert identify_font(word, [a, b]) == "a"
 
 
 def test_identify_font_empty_and_tie(demo_book):
     from glyphcode import WordCode
 
     build_fingerprints([demo_book])
-    assert identify_font(WordCode(()), [demo_book], TOL) is None
+    assert identify_font(WordCode(()), [demo_book]) is None
+    word = scale_word(encode_word(render_glyph("vline", 60), CFG), 1.0 / 60)
+    assert identify_font(word, []) is None
+
+
+def _line_book(font, alpha, dalpha):
+    code = _seq(LineSegmentCode(0, alpha, 0.5))
+    entry = CharacterCode("line", Position.ISOLATED, code)
+    return Codebook(font, replace(TOL, dalpha=dalpha), {("line", "isolated"): entry})
+
+
+def test_identify_font_matches_each_book_under_its_own_tolerances():
+    """The word's line at alpha 50 is within B's dalpha of B's line at 60
+    and outside A's; under A's tolerances neither book hits the word."""
+    from glyphcode import WordCode
+    from glyphcode.encoder import WordEntry
+
+    a, b = build_fingerprints([_line_book("A", 0, 6), _line_book("B", 60, 15)])
+    word = WordCode((WordEntry(_seq(LineSegmentCode(0, 50, 0.5)), (9, 9, 9)),))
+    assert identify_font(word, [a, b]) == "B"
+    assert identify_font(word, [a, replace(b, tolerances=a.tolerances)]) is None
 
 
 # ---------------------------------------------------------------------------

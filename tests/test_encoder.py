@@ -499,6 +499,31 @@ def test_arc_rejoin_never_refits_a_failed_pair(make, monkeypatch):
     assert len(calls) <= 4000
 
 
+def test_arc_stage_fitting_work_on_the_demo_glyphs(monkeypatch):
+    """The demo glyphs at 60 and 120 px make 94 ellipse-fit calls over 830
+    candidate runs and 80 Sampson calls. Folding the 5-pixel seed into the
+    first growth block gave the same codes from 887 members and 88 Sampson
+    calls, so more arc work shows here before it shows in timings."""
+    members, sampson = [], []
+    fit_ellipse, sampson_residual = encoder.fit_ellipse, encoder.sampson_residual
+
+    def counted_fit(block):
+        members.extend(block)
+        return fit_ellipse(block)
+
+    def counted_sampson(*args):
+        sampson.append(None)
+        return sampson_residual(*args)
+
+    monkeypatch.setattr(encoder, "fit_ellipse", counted_fit)
+    monkeypatch.setattr(encoder, "sampson_residual", counted_sampson)
+    for name in DEMO_GLYPHS:
+        for size in (60, 120):
+            encode_word(render_glyph(name, size), EncoderConfig())
+    assert len(members) <= 830
+    assert len(sampson) <= 80
+
+
 def test_encoding_leaves_no_reference_cycles():
     """Cyclic garbage would make the collector run during later work."""
     cfg = EncoderConfig(dd=1.0, l_min=22.0, e_res=0.5)

@@ -206,6 +206,12 @@ def test_sequence_subset_identity_and_length():
     assert not sequence_subset(seq(el(), el(), el(), el()), seq(el(), el()), T)
 
 
+@pytest.mark.parametrize("anchor", (None, 0))
+def test_subset_alignment_probe_longer_than_target(anchor):
+    s = seq(el(), el())
+    assert subset_alignment(seq(el(), el(), el()), s, T, anchor=anchor) is None
+
+
 def test_sequence_subset_oracle_agreement(rng):
     for _ in range(400):
         c = random_sequence(rng, 4)
