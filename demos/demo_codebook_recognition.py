@@ -13,7 +13,6 @@ import tempfile
 from pathlib import Path
 
 from glyphcode import (
-    ConnectivityTable,
     EncoderConfig,
     MatchTolerances,
     build_codebook,
@@ -37,11 +36,8 @@ def main():
             for size in SIZES:
                 write_pbm(render_glyph(name, size), d / f"{size}.pbm")
 
-        table = ConnectivityTable(
-            tuple((n, False, False) for n in DEMO_GLYPHS), connector="NONE"
-        )
         book = build_codebook(
-            corpus, table, list(SIZES), EncoderConfig(), MatchTolerances(), font="demo"
+            corpus, None, list(SIZES), EncoderConfig(), MatchTolerances(), font="demo"
         )
         print(
             f"codebook: {len(book.entries)} entries, "

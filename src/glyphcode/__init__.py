@@ -56,7 +56,6 @@ from .matcher import (
     arc_subset,
     element_equiv,
     element_match,
-    find_matches,
     freeman_sum,
     line_equiv,
     line_subset,
@@ -76,6 +75,7 @@ from .codebook import (
     build_fingerprints,
     enumerate_subwords,
     extract_common_code,
+    find_matches,
     identify_font,
     load_codebook,
     recognize,

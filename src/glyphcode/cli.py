@@ -135,19 +135,15 @@ def cmd_build_codebook(args) -> int:
         raise CommandError(EXIT_PARSE, f"--sizes must list positive integers, got {args.sizes!r}")
     try:
         book = cb.build_codebook(
-            args.corpus, cb.arabic_connectivity(), sizes, cfg.encoder, cfg.tolerances,
+            args.corpus, None, sizes, cfg.encoder, cfg.tolerances,
             font=args.font, threshold=cfg.threshold,
         )
     except raster.RasterFormatError as exc:
         raise CommandError(EXIT_CORPUS, f"bad corpus raster: {exc}") from exc
     if not book.entries and not book.flagged:
         raise CommandError(EXIT_CORPUS, "corpus produced no codebook entries")
-    cb.build_fingerprints([book])
     cb.save_codebook(book, args.output)
-    print(
-        f"entries={len(book.entries)} fingerprint={len(book.fingerprint)} "
-        f"flagged={len(book.flagged)} skipped={book.skipped}"
-    )
+    print(f"entries={len(book.entries)} flagged={len(book.flagged)} skipped={book.skipped}")
     return EXIT_OK
 
 

@@ -30,12 +30,7 @@ from .encoder import (
     subword_from_obj,
     subword_to_obj,
 )
-from .matcher import (
-    MatchTolerances,
-    find_matches,
-    sequence_equiv,
-    subset_alignment,
-)
+from .matcher import MatchTolerances, sequence_equiv, subset_alignment
 from .raster import RasterFormatError, load_image
 
 __all__ = [
@@ -51,6 +46,7 @@ __all__ = [
     "extract_common_code",
     "build_codebook",
     "build_fingerprints",
+    "find_matches",
     "identify_font",
     "recognize",
     "save_codebook",
@@ -334,13 +330,43 @@ def build_fingerprints(books):
     return books
 
 
+def _windows(code: SubWordCode, word: WordCode, t: MatchTolerances, covered=None):
+    """Yield (sub-word index, offset, alignment) for each window where
+    `code` aligns anchored at the offset, in ascending order.
+
+    Offsets in `covered[si]` are skipped, as is a sub-word with fewer
+    uncovered elements than the code.
+    """
+    telems = code.elements
+    for si, entry in enumerate(word.subwords):
+        delems = entry.code.elements
+        done = covered[si] if covered else ()
+        if len(delems) - len(done) < len(telems):
+            continue
+        for j in range(len(delems) - len(telems) + 1):
+            if j in done:
+                continue
+            align = subset_alignment(telems, delems, t, anchor=j)
+            if align is not None:
+                yield si, j, align
+
+
+def find_matches(word: WordCode, target: SubWordCode, t: MatchTolerances):
+    """All (sub-word index, anchor offset) where `target` occurs in `word`.
+
+    An occurrence is a subset alignment of the target's elements into a
+    sub-word's element sequence, anchored at the offset.
+    """
+    return [(si, j) for si, j, _ in _windows(target, word, t)]
+
+
 def identify_font(word: WordCode, books) -> str | None:
     """Font whose fingerprint hits the word most, each book's fingerprint
     matched under its own tolerances; None on ties or no hits."""
     scores = []
     for book in books:
         hits = sum(
-            len(find_matches(word, code, book.tolerances)) for code in book.fingerprint
+            1 for code in book.fingerprint for _ in _windows(code, word, book.tolerances)
         )
         scores.append((hits, book.font))
     best = max((h for h, _ in scores), default=0)
@@ -350,26 +376,6 @@ def identify_font(word: WordCode, books) -> str | None:
     if len(winners) != 1:
         return None
     return winners[0]
-
-
-def _first_alignment_avoiding(target: SubWordCode, word: WordCode, covered, t):
-    """First (si, offset, aligned-index-set) alignment on uncovered elements.
-
-    Sub-words and offsets are visited in ascending order, so the first hit
-    is the earliest window; None when there is none.
-    """
-    telems = target.elements
-    for si, entry in enumerate(word.subwords):
-        delems = entry.code.elements
-        if len(delems) - len(covered[si]) < len(telems):
-            continue
-        for j in range(len(delems) - len(telems) + 1):
-            if j in covered[si]:
-                continue
-            align = subset_alignment(telems, delems, t, anchor=j)
-            if align is not None and covered[si].isdisjoint(align):
-                return si, j, set(align)
-    return None
 
 
 def recognize(word: WordCode, book: Codebook, t: MatchTolerances):
@@ -395,12 +401,13 @@ def recognize(word: WordCode, book: Codebook, t: MatchTolerances):
         while True:
             hits = []
             for cc in group:
-                hit = _first_alignment_avoiding(cc.code, word, covered, t)
-                if hit is not None:
-                    hits.append((hit, cc))
+                for si, j, align in _windows(cc.code, word, t, covered):
+                    if covered[si].isdisjoint(align):
+                        hits.append((si, j, align, cc))
+                        break
             if not hits:
                 break
-            (si, j, aligned), cc = min(hits, key=lambda h: h[0][:2])
+            si, j, aligned, cc = min(hits, key=lambda h: h[:2])
             covered[si].update(aligned)
             results.append((cc.glyph, cc.position.value, (si, j)))
     results.sort(key=lambda r: r[2])

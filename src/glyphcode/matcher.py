@@ -40,7 +40,6 @@ __all__ = [
     "sequence_equiv",
     "sequence_subset",
     "subset_alignment",
-    "find_matches",
 ]
 
 
@@ -263,19 +262,3 @@ def subset_alignment(cseq, dseq, t: MatchTolerances, anchor: int | None = None):
 
 def sequence_subset(cseq, dseq, t: MatchTolerances) -> bool:
     return subset_alignment(cseq, dseq, t) is not None
-
-
-def find_matches(word, target, t: MatchTolerances):
-    """All (sub-word index, anchor offset) where `target` occurs in `word`.
-
-    `target` is a SubWordCode; an occurrence is a subset alignment of its
-    elements into a sub-word's element sequence, anchored at the offset.
-    """
-    hits = []
-    telems = target.elements
-    for si, entry in enumerate(word.subwords):
-        delems = entry.code.elements
-        for j in range(len(delems) - len(telems) + 1):
-            if subset_alignment(telems, delems, t, anchor=j) is not None:
-                hits.append((si, j))
-    return hits

@@ -8,7 +8,9 @@ enumerates every monotone alignment.  The reference fits build float
 design matrices from the points, where the library reads exact integer
 moments, and the reference path walk rescans for endpoints on every path.
 The reference labelling is ``scipy.ndimage.label``, where the library
-flood-fills over its own pixel ring.
+flood-fills over its own pixel ring.  The reference recognizer rescans
+every entry for each placement, where the library walks the code lengths
+once, longest first, and prunes covered windows.
 The reference arc clustering grows each run one pixel per step, where the
 library evaluates blocks of candidate ends at once.  The exact-fit
 references keep the plain forms of the library's exact steps (a tuple
@@ -42,7 +44,7 @@ from glyphcode import (
 )
 from glyphcode.encoder import _arc_from_run, _walk_paths
 from glyphcode.geomfit import _moments, sampson_residual
-from glyphcode.matcher import element_match, element_subset
+from glyphcode.matcher import element_match, element_subset, subset_alignment
 from glyphcode.raster import components, neighbors, pixel_centroid
 
 # tolerances sized for codes in pixel units, where the defaults are sized
@@ -602,6 +604,60 @@ def alignment_oracle(cseq, dseq, t):
         if ok:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# reference greedy cover (recognize's docstring, read literally)
+
+
+def _reference_earliest_window(code, word, covered, t):
+    """First (si, offset, alignment) of `code` on uncovered elements, and
+    the number of uncovered anchors passed over on the way because their
+    alignment hit a covered element."""
+    skipped = 0
+    for si, entry in enumerate(word.subwords):
+        for j in range(len(entry.code.elements)):
+            if j in covered[si]:
+                continue
+            align = subset_alignment(code, entry.code.elements, t, anchor=j)
+            if align is None:
+                continue
+            if covered[si].isdisjoint(align):
+                return (si, j, align), skipped
+            skipped += 1
+    return None, skipped
+
+
+def reference_recognize(word, book, t):
+    """`recognize` as its docstring states it, plus a count of skipped anchors.
+
+    Each round places the entry with the longest code that still matches an
+    uncovered window, the earliest window first and then the entry's glyph
+    and position.  A window is the earliest alignment of the code anchored
+    at an uncovered offset; it matches only when none of its elements is
+    covered.  Returns the placements in window order and the number of
+    anchors passed over because their alignment hit a covered element.
+    """
+    covered = [set() for _ in word.subwords]
+    placed, skipped = [], 0
+    while True:
+        best = None
+        for cc in book.entries.values():
+            if not cc.code.elements:
+                continue
+            hit, passed = _reference_earliest_window(cc.code.elements, word, covered, t)
+            skipped += passed
+            if hit is None:
+                continue
+            rank = (-len(cc.code.elements), hit[0], hit[1], cc.glyph, cc.position.value)
+            if best is None or rank < best[0]:
+                best = (rank, hit, cc)
+        if best is None:
+            break
+        _, (si, j, align), cc = best
+        covered[si].update(align)
+        placed.append((cc.glyph, cc.position.value, (si, j)))
+    return sorted(placed, key=lambda p: p[2]), skipped
 
 
 # ---------------------------------------------------------------------------

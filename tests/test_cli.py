@@ -320,10 +320,21 @@ def test_build_codebook_and_recognize_read_a_word_with_the_defaults(
     ]
 
 
-def test_identify_font_compares_the_fonts_unique_codes(tmp_path, capsys):
+def test_build_codebook_saves_no_fingerprint(corpus_dir, tmp_path, capsys):
+    """A fingerprint needs the other fonts, which `identify-font` loads."""
+    book = tmp_path / "book.json"
+    assert main(["build-codebook", str(corpus_dir), "-o", str(book)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("entries=12 ") and "fingerprint=" not in out
+    assert json.loads(book.read_text())["fingerprint"] == []
+
+
+@pytest.mark.parametrize("saved_fingerprint", ["empty", "every_entry"])
+def test_identify_font_compares_the_fonts_unique_codes(tmp_path, capsys, saved_fingerprint):
     """Font B draws its `vbar` with the strokes of `vline`, which both
     fonts hold, so only A's `oval` tells the fonts apart. Counting every
-    entry of each book once read this word as a tie, `unknown`."""
+    entry of each book once read this word as a tie, `unknown`. Books
+    saved with every entry as their fingerprint read the same."""
     books = []
     for font, glyphs in (("A", {"vline": "vline", "oval": "oval"}),
                          ("B", {"vline": "vline", "vbar": "vline"})):
@@ -334,6 +345,10 @@ def test_identify_font_compares_the_fonts_unique_codes(tmp_path, capsys):
                 write_pbm(render_glyph(drawn, size), spec / f"{size}.pbm")
         books.append(str(tmp_path / f"{font}.json"))
         assert main(["build-codebook", str(tmp_path / font), "-o", books[-1]]) == EXIT_OK
+        if saved_fingerprint == "every_entry":
+            obj = json.loads(Path(books[-1]).read_text())
+            obj["fingerprint"] = [e["code"] for e in obj["entries"]]
+            Path(books[-1]).write_text(json.dumps(obj))
     word = tmp_path / "word.pbm"
     write_pbm(render_word_image(("vline", "oval"), 60), word)
     capsys.readouterr()

@@ -22,12 +22,15 @@ from glyphcode import (
     PointCode,
     Position,
     SubWordCode,
+    WordCode,
+    WordEntry,
     arabic_connectivity,
     build_codebook,
     build_fingerprints,
     encode_word,
     enumerate_subwords,
     extract_common_code,
+    find_matches,
     identify_font,
     load_codebook,
     recognize,
@@ -38,6 +41,8 @@ from glyphcode.codebook import CharacterCode, SubWordSpec
 from glyphcode.encoder import scale_subword
 from glyphcode.raster import write_pbm
 from glyphcode.render import DEMO_GLYPHS, render_glyph
+
+from conftest import PIXEL_TOLERANCES, random_element, reference_recognize
 
 CFG = EncoderConfig(dd=1.0, l_min=22.0, e_res=0.5)
 TOL = MatchTolerances(
@@ -334,8 +339,34 @@ def test_recognize_no_match(demo_book):
     assert recognize(WordCode(()), demo_book, TOL) == []
 
 
+def test_recognize_matches_the_plain_greedy_cover(rng):
+    """Random words against books of subsequences of their own sub-words:
+    `recognize` places what the reference reads from its docstring, on
+    cases where some anchors' earliest alignments hit covered elements."""
+    keys = [(g, p) for g in "ab" for p in Position]
+    skipped = 0
+    for _ in range(300):
+        subwords = [
+            tuple(random_element(rng) for _ in range(rng.randint(1, 7)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        word = WordCode(tuple(WordEntry(SubWordCode(s), (9, 9, 9)) for s in subwords))
+        book = Codebook("random", PIXEL_TOLERANCES)
+        for glyph, position in rng.sample(keys, rng.randint(1, 6)):
+            s = rng.choice(subwords)
+            picked = sorted(rng.sample(range(len(s)), rng.randint(1, len(s))))
+            code = SubWordCode(tuple(s[i] for i in picked))
+            book.entries[(glyph, position.value)] = CharacterCode(glyph, position, code)
+        expected, passed = reference_recognize(word, book, PIXEL_TOLERANCES)
+        assert recognize(word, book, PIXEL_TOLERANCES) == expected
+        skipped += passed
+    assert skipped > 0
+
+
 def test_codebook_calls_the_names_the_benchmark_traces(monkeypatch, tmp_path):
-    """bench/tracing.py times these by wrapping the codebook's attributes."""
+    """bench/tracing.py times these by wrapping the codebook's attributes.
+    `recognize`, `find_matches` and `identify_font` must each reach the
+    wrapped `subset_alignment`, or traced runs would count no alignments."""
     import glyphcode.codebook as codebook
 
     names = ("load_image", "encode_word", "extract_common_code", "subset_alignment")
@@ -356,6 +387,13 @@ def test_codebook_calls_the_names_the_benchmark_traces(monkeypatch, tmp_path):
     counts["subset_alignment"] = 0
     word = scale_word(encode_word(render_glyph("vee", 60), CFG), 1.0 / 60)
     assert [g for g, _, _ in recognize(word, book, TOL)] == ["vee"]
+    assert counts["subset_alignment"], counts
+    code = book.entries[("vee", "isolated")].code
+    counts["subset_alignment"] = 0
+    assert find_matches(word, code, TOL)
+    assert counts["subset_alignment"], counts
+    counts["subset_alignment"] = 0
+    assert identify_font(word, build_fingerprints([book])) == "demo"
     assert counts["subset_alignment"], counts
 
 
