@@ -30,7 +30,6 @@ from .geomfit import (
     fit_line,
     point_line_distance,
     sampson_residual,
-    segment_extent,
 )
 from .raster import BinaryRaster, Stroke, components, neighbors, pixel_centroid
 from .raster import rowmajor, segment, thin
@@ -215,43 +214,73 @@ def _walk_paths(pixels) -> list[list[tuple[int, int]]]:
     return paths
 
 
+# A screened distance this close to dd is decided by fit_line and
+# point_line_distance.  Their p and normal (taken back from degrees) round
+# with errors that grow with the distance from the origin: about 1e-12 px
+# at coordinates near 1e3 and 2e-11 px near 2e4, 50 times inside the band.
+_TIE_BAND = 1e-9
+
+
 def extract_lines(stroke: Stroke, cfg: EncoderConfig):
     """Harvest straight runs from the stroke's skeleton pixels.
 
     Walks maximal paths; each run seeds on two pixels and grows while the
-    next path pixel stays within `dd` of the current best-fit line,
-    refitting after every append.  Runs whose projected extent exceeds
-    `l_min` are kept as segments and claim their pixels (the terminating
-    corner pixel stays with the just-closed run); everything else ends up
-    in the residual set.  Staircase pixels beside a run need no handling
-    here: `thin` has already pruned them.
+    next path pixel stays within `dd` of the best-fit line of the run so
+    far.  Each step is screened in floats from the run's integer sums:
+    the pixel's distance from the centroid along `fit_line`'s normal
+    angle, with no `Moments` or `PolarLine` built.  Only a screened
+    distance within `_TIE_BAND` (1e-9 px) of `dd` is decided by
+    `fit_line` and `point_line_distance`, so the runs are exactly those
+    of refitting after every append.  `fit_line` builds every run's line
+    where it stops and again after each trim cut.  Runs whose projected
+    extent exceeds `l_min` are kept as segments and claim their pixels
+    (the terminating corner pixel stays with the just-closed run);
+    everything else ends up in the residual set.  Staircase pixels beside
+    a run need no handling here: `thin` has already pruned them.
     """
+    dd = cfg.dd
     out = []
     residual: set[tuple[int, int]] = set()
     for path in _walk_paths(stroke.pixels):
-        rows = Moments.prefix(path)  # path[i:j] has moments rows[j] - rows[i]
         i = 0
         n = len(path)
         while i < n:
             if n - i < 2:
                 residual.update(path[i:])
                 break
+            # the integer sums n, Sx, Sy, Sxx, Sxy, Syy of the run path[i:j]
+            k, sx, sy, sxx, sxy, syy = Moments.of(path[i : i + 2]).sums
             j = i + 2
-            line = fit_line(rows[j] - rows[i])
-            while j < n and point_line_distance(path[j], line) <= cfg.dd:
+            while j < n:
+                x, y = path[j]
+                cxx, cxy, cyy = k * sxx - sx * sx, k * sxy - sx * sy, k * syy - sy * sy
+                a = 0.5 * math.atan2(-2 * cxy, cyy - cxx)  # as in fit_line
+                d = abs((k * x - sx) * math.cos(a) + (k * y - sy) * math.sin(a)) / k
+                if abs(d - dd) <= _TIE_BAND:
+                    line = fit_line(Moments((k, sx, sy, sxx, sxy, syy)))
+                    d = point_line_distance((x, y), line)
+                if d > dd:
+                    break
+                k, sx, sy = k + 1, sx + x, sy + y
+                sxx, sxy, syy = sxx + x * x, sxy + x * y, syy + y * y
                 j += 1
-                line = fit_line(rows[j] - rows[i])
-            # refitting can drift: trim the tail until every claimed pixel
-            # really is within dd of the final line
-            while j - i > 2 and any(
-                point_line_distance(p, line) > cfg.dd for p in path[i:j]
-            ):
+            # the fit can drift as the run grows: trim the tail until every
+            # claimed pixel really is within dd of the run's own line (the
+            # arithmetic of point_line_distance and, below, segment_extent)
+            while True:
+                line = fit_line(Moments((k, sx, sy, sxx, sxy, syy)))
+                (c, s), p = line.normal, line.p
+                if j - i == 2 or all(abs(x * c + y * s - p) <= dd for x, y in path[i:j]):
+                    break
                 j -= 1
-                line = fit_line(rows[j] - rows[i])
+                x, y = path[j]
+                k, sx, sy = k - 1, sx - x, sy - y
+                sxx, sxy, syy = sxx - x * x, sxy - x * y, syy - y * y
             run = path[i:j]
-            lo, hi = segment_extent(run, line)
-            if hi - lo > cfg.l_min:
-                out.append((LineSegmentCode(line.p, line.alpha, hi - lo), frozenset(run)))
+            along = [x * -s + y * c for x, y in run]
+            length = max(along) - min(along)
+            if length > cfg.l_min:
+                out.append((LineSegmentCode(p, line.alpha, length), frozenset(run)))
             else:
                 residual.update(run)
             i = j

@@ -11,7 +11,9 @@ The reference labelling is ``scipy.ndimage.label``, where the library
 flood-fills over its own pixel ring.  The reference recognizer rescans
 every entry for each placement, where the library walks the code lengths
 once, longest first, and prunes covered windows.
-The reference arc clustering grows each run one pixel per step, where the
+The reference line harvesting refits the run after every grown pixel,
+where the library screens each step from the run's integer sums.  The
+reference arc clustering grows each run one pixel per step, where the
 library evaluates blocks of candidate ends at once.  The exact-fit
 references keep the plain forms of the library's exact steps (a tuple
 running sum per point, a sorted pair of normals, index loops over the
@@ -41,6 +43,9 @@ from glyphcode import (
     PointCode,
     PolarLine,
     fit_ellipse,
+    fit_line,
+    point_line_distance,
+    segment_extent,
 )
 from glyphcode.encoder import _arc_from_run, _walk_paths
 from glyphcode.geomfit import _moments, sampson_residual
@@ -341,6 +346,45 @@ def reference_walk_paths(pixels):
             cur = nxt
         paths.append(path)
     return paths
+
+
+# ---------------------------------------------------------------------------
+# reference line harvesting: one fit per grown pixel
+
+
+def reference_extract_lines(stroke, cfg):
+    """`extract_lines` refitting the run after every append: each step
+    measures the next pixel against `fit_line` of the run so far."""
+    out = []
+    residual = set()
+    for path in _walk_paths(stroke.pixels):
+        rows = Moments.prefix(path)  # path[i:j] has moments rows[j] - rows[i]
+        i = 0
+        n = len(path)
+        while i < n:
+            if n - i < 2:
+                residual.update(path[i:])
+                break
+            j = i + 2
+            line = fit_line(rows[j] - rows[i])
+            while j < n and point_line_distance(path[j], line) <= cfg.dd:
+                j += 1
+                line = fit_line(rows[j] - rows[i])
+            # refitting can drift: trim the tail until every claimed pixel
+            # really is within dd of the final line
+            while j - i > 2 and any(
+                point_line_distance(p, line) > cfg.dd for p in path[i:j]
+            ):
+                j -= 1
+                line = fit_line(rows[j] - rows[i])
+            run = path[i:j]
+            lo, hi = segment_extent(run, line)
+            if hi - lo > cfg.l_min:
+                out.append((LineSegmentCode(line.p, line.alpha, hi - lo), frozenset(run)))
+            else:
+                residual.update(run)
+            i = j
+    return out, residual
 
 
 # ---------------------------------------------------------------------------

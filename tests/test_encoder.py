@@ -34,7 +34,7 @@ from glyphcode import (
     word_to_json,
 )
 from glyphcode import encoder, segment, thin
-from glyphcode.raster import neighbors
+from glyphcode.raster import neighbors, rowmajor
 from glyphcode.encoder import _arc_from_run, _walk_paths, cluster_ellipses, extract_lines
 from glyphcode.geomfit import EllipseCoefficients
 from glyphcode.render import DEMO_GLYPHS, render_glyph, render_word_image
@@ -42,6 +42,7 @@ from conftest import (
     random_blob,
     random_pixel_run,
     reference_cluster_ellipses,
+    reference_extract_lines,
     reference_walk_paths,
     sample_ellipse,
 )
@@ -240,6 +241,71 @@ def test_thinned_glyphs_leave_no_stray_beside_a_run(size):
                             and lo - 0.5 <= t <= hi + 0.5
                             and not neighbors(p, residual)
                         ), (name, size, grow, cfg, p)
+
+
+def _axis_runs_beside_a_pixel(shift):
+    """(run, next) pairs: 20-px horizontal and vertical runs at offsets
+    0-399 in rows or columns 3, 50 and 211, moved `shift` px in x, and a
+    pixel one row or column off past one end, where the path walk meets
+    it right after the run: 4,800 pairs."""
+    for o in range(400):
+        for r in (3, 50, 211):
+            row = [(o + k, r) for k in range(20)]
+            col = [(r, o + k) for k in range(20)]
+            pairs = ((row, (o + 20, r + 1)), (row, (o - 1, r + 1)),
+                     (col, (r - 1, o + 20)), (col, (r + 1, o + 20)))
+            for run, nxt in pairs:
+                yield [(x + shift, y) for x, y in run], (nxt[0] + shift, nxt[1])
+
+
+def _slanted_runs_at_a_tie(rng, shift):
+    """(run, next, dd) triples: 20-px digital runs of random slope, one
+    coordinate moved `shift` px, each walked into one more pixel, with dd
+    at that pixel's distance from the run's fitted line and at the floats
+    either side."""
+    for _ in range(300):
+        slope = rng.uniform(-1.0, 1.0)
+        x0, y0 = shift + rng.randrange(400), rng.randrange(3, 300)
+        path = [(x0 + k, y0 + round(slope * k)) for k in range(20)]
+        path.append((x0 + 20, path[-1][1] + rng.choice((-1, 0, 1))))
+        if rng.random() < 0.5:
+            path = [(y, x) for x, y in path]
+        if rowmajor(path[-1]) < rowmajor(path[0]):  # the walk starts at path[0]
+            path = [(x, 1000 - y) for x, y in path]
+        dist = point_line_distance(path[-1], fit_line(path[:-1]))
+        for dd in (math.nextafter(dist, 0.0), dist, math.nextafter(dist, 2.0)):
+            yield path[:-1], path[-1], dd
+
+
+def test_extract_lines_matches_refitting_after_every_append():
+    """Screened growth gives the runs of refitting after every pixel, also
+    where a pixel lies at `dd` up to rounding: `fit_line` reads a pixel
+    one row off a horizontal run at 1.0000000000000004 (438 of the first
+    4,800 axis cases), and at x near 20,000 the screen and `fit_line`
+    differ by up to about 2e-11 px, so the tie band must be wider than
+    that."""
+    rng = random.Random(37)
+    rasters = [thin(random_blob(rng)) for _ in range(12)]
+    for name in DEMO_GLYPHS:
+        bits = render_glyph(name, 60, margin=6).bits
+        for grow in range(4):  # dilated by 0-3 px
+            if grow:
+                bits = ndimage.binary_dilation(bits, structure=np.ones((3, 3), bool))
+            rasters.append(thin(BinaryRaster(bits)))
+    configs = (EncoderConfig(), EncoderConfig(l_min=4.0),
+               EncoderConfig(dd=0.5, l_min=4.0), EncoderConfig(dd=2.0))
+    cases = [(stroke, cfg) for cfg in configs for r in rasters for stroke in segment(r)]
+    over = 0
+    for shift in (0, 20_000):
+        for run, nxt in _axis_runs_beside_a_pixel(shift):
+            over += shift == 0 and point_line_distance(nxt, fit_line(run)) > 1.0
+            cases.append((Stroke(tuple(run + [nxt])), EncoderConfig(l_min=4.0)))
+    assert over == 438
+    for shift in (0, 20_000):
+        for run, nxt, dd in _slanted_runs_at_a_tie(rng, shift):
+            cases.append((Stroke(tuple(run + [nxt])), EncoderConfig(dd=dd, l_min=4.0)))
+    for stroke, cfg in cases:
+        assert extract_lines(stroke, cfg) == reference_extract_lines(stroke, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +588,25 @@ def test_arc_stage_fitting_work_on_the_demo_glyphs(monkeypatch):
             encode_word(render_glyph(name, size), EncoderConfig())
     assert len(members) <= 830
     assert len(sampson) <= 80
+
+
+def test_line_stage_fitting_work_on_the_demo_glyphs(monkeypatch):
+    """The demo glyphs at 60 and 120 px make 168 line fits: one where each
+    run stops, one per trim cut and one per step screened within the tie
+    band of `dd`. Refitting after every grown pixel made 2,746, so a
+    return to it shows here before it shows in timings."""
+    calls = []
+    fit_line = encoder.fit_line
+
+    def counted(pixels):
+        calls.append(None)
+        return fit_line(pixels)
+
+    monkeypatch.setattr(encoder, "fit_line", counted)
+    for name in DEMO_GLYPHS:
+        for size in (60, 120):
+            encode_word(render_glyph(name, size), EncoderConfig())
+    assert len(calls) <= 168
 
 
 def test_encoding_leaves_no_reference_cycles():
