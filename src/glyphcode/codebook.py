@@ -467,9 +467,9 @@ def save_codebook(book: Codebook, path) -> None:
 
 def load_codebook(path) -> Codebook:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise CodebookFormatError(f"cannot read codebook: {exc}") from exc
     try:
         if obj["schema_version"] != SCHEMA_VERSION:

@@ -31,8 +31,7 @@ from .geomfit import (
     point_line_distance,
     sampson_residual,
 )
-from .raster import BinaryRaster, Stroke, components, neighbors, pixel_centroid
-from .raster import rowmajor, segment, thin
+from .raster import BinaryRaster, Stroke, components, pixel_centroid, segment, thin, walk_paths
 
 __all__ = [
     "FREEMAN_NULL",
@@ -161,59 +160,6 @@ def neighbor_directions(anchors) -> list[tuple[int, int, int]]:
     ]
 
 
-# ---------------------------------------------------------------------------
-# path walking over skeleton pixels
-
-def _walk_paths(pixels) -> list[list[tuple[int, int]]]:
-    """Maximal 8-connected pixel paths covering the set, deterministically.
-
-    Each walk starts at a degree-1 pixel when one exists (else the
-    row-major first pixel) and prefers continuing in the current travel
-    direction; every pixel is visited exactly once.  Degrees count
-    neighbours not yet taken and are updated as pixels are taken.
-    """
-    remaining = set(pixels)
-    adjacent = {p: neighbors(p, remaining) for p in remaining}
-    degree = {p: len(nbrs) for p, nbrs in adjacent.items()}
-    ends = {p for p, d in degree.items() if d == 1}
-
-    def take(p):
-        """Take `p`; return its neighbours still remaining, in ring order."""
-        remaining.discard(p)
-        ends.discard(p)
-        nbrs = [q for q in adjacent[p] if q in remaining]
-        for q in nbrs:
-            d = degree[q] = degree[q] - 1
-            if d == 1:
-                ends.add(q)
-            elif d == 0:
-                ends.discard(q)
-        return nbrs
-
-    paths = []
-    while remaining:
-        cur = min(ends or remaining, key=rowmajor)
-        path = [cur]
-        heading = None
-        while nbrs := take(cur):
-            if len(nbrs) == 1:
-                nxt = nbrs[0]
-            elif heading is None:
-                nxt = min(nbrs, key=rowmajor)
-            else:
-                def turn(n):
-                    ang = math.atan2(n[1] - cur[1], n[0] - cur[0])
-                    d = abs(ang - heading) % (2 * math.pi)
-                    return min(d, 2 * math.pi - d)
-
-                nxt = min(nbrs, key=lambda n: (turn(n), rowmajor(n)))
-            heading = math.atan2(nxt[1] - cur[1], nxt[0] - cur[0])
-            path.append(nxt)
-            cur = nxt
-        paths.append(path)
-    return paths
-
-
 # A screened distance this close to dd is decided by fit_line and
 # point_line_distance.  Their p and normal (taken back from degrees) round
 # with errors that grow with the distance from the origin: about 1e-12 px
@@ -224,9 +170,9 @@ _TIE_BAND = 1e-9
 def extract_lines(stroke: Stroke, cfg: EncoderConfig):
     """Harvest straight runs from the stroke's skeleton pixels.
 
-    Walks maximal paths; each run seeds on two pixels and grows while the
-    next path pixel stays within `dd` of the best-fit line of the run so
-    far.  Each step is screened in floats from the run's integer sums:
+    Walks the maximal paths of `raster.walk_paths`; each run seeds on two
+    pixels and grows while the next path pixel stays within `dd` of the
+    best-fit line of the run so far.  Each step is screened in floats from the run's integer sums:
     the pixel's distance from the centroid along `fit_line`'s normal
     angle, with no `Moments` or `PolarLine` built.  Only a screened
     distance within `_TIE_BAND` (1e-9 px) of `dd` is decided by
@@ -241,7 +187,7 @@ def extract_lines(stroke: Stroke, cfg: EncoderConfig):
     dd = cfg.dd
     out = []
     residual: set[tuple[int, int]] = set()
-    for path in _walk_paths(stroke.pixels):
+    for path in walk_paths(stroke.pixels):
         i = 0
         n = len(path)
         while i < n:
@@ -379,17 +325,18 @@ def _rejoin_arcs(arcs, cfg: EncoderConfig) -> None:
 def cluster_ellipses(residual, cfg: EncoderConfig):
     """Group leftover pixels into ellipse-arc runs.
 
-    The residual is split into 8-connected components; inside each, path
-    ordered runs seed on 5 pixels and grow greedily, one pixel at a time,
-    while the gradient-weighted fit residual stays within `e_res`; a run
-    that cannot be fitted yet keeps growing.  The growth is evaluated in
-    blocks of candidate ends, `_FIRST_BLOCK` at first and doubling: one
-    `fit_ellipse` call fits every candidate of a block with one stacked
-    eigensolve, one `sampson_residual` call measures each on its own
-    prefix, and the run stops before the first candidate over `e_res`.
-    Each candidate reads exactly the numbers a one-pixel step would, so
-    the runs are those of the one-step loop; the candidates past the stop
-    are the only extra work, fewer than the block that holds it.
+    The residual is split into 8-connected components, each walked by
+    `raster.walk_paths`; along a path, runs seed on 5 pixels and grow
+    greedily, one pixel at a time, while the gradient-weighted fit
+    residual stays within `e_res`; a run that cannot be fitted yet keeps
+    growing.  The growth is evaluated in blocks of candidate ends,
+    `_FIRST_BLOCK` at first and doubling: one `fit_ellipse` call fits
+    every candidate of a block with one stacked eigensolve, one
+    `sampson_residual` call measures each on its own prefix, and the run
+    stops before the first candidate over `e_res`.  Each candidate reads
+    exactly the numbers a one-pixel step would, so the runs are those of
+    the one-step loop; the candidates past the stop are the only extra
+    work, fewer than the block that holds it.
 
     Runs too small to host an ellipse are merged into an adjacent
     accepted run when one exists, otherwise returned as leftover groups
@@ -405,7 +352,7 @@ def cluster_ellipses(residual, cfg: EncoderConfig):
         origin = (min(x for x, _ in comp), min(y for _, y in comp))
         comp_arcs: list[tuple[tuple, EllipseArcCode]] = []  # (run, arc code)
         comp_small: list[tuple] = []
-        for path in _walk_paths(comp):
+        for path in walk_paths(comp):
             rows = Moments.prefix(path, 4, origin)
             pts = np.array(path, dtype=float)
             i = 0

@@ -22,6 +22,7 @@ __all__ = [
     "thin",
     "segment",
     "components",
+    "walk_paths",
     "neighbors",
     "pixel_centroid",
     "rowmajor",
@@ -245,6 +246,57 @@ def components(pixels) -> list[list[tuple[int, int]]]:
 def segment(image: BinaryRaster) -> list[Stroke]:
     """Split the foreground into its 8-connected components."""
     return [Stroke(tuple(c)) for c in components(image.foreground())]
+
+
+# Ring indices in the order a walk prefers its next step: the first step
+# in row-major order; after a step to ring place i, the nearest places
+# first (45 degrees apart, so the least turn), ties in row-major order.
+_FIRST_STEPS = sorted(range(8), key=lambda i: rowmajor(_RING[i]))
+_NEXT_STEPS = [
+    sorted(_FIRST_STEPS, key=lambda j, i=i: min((j - i) % 8, (i - j) % 8))
+    for i in range(8)
+]
+
+
+def walk_paths(pixels) -> list[list[tuple[int, int]]]:
+    """Maximal 8-connected pixel paths covering the set, deterministically.
+
+    A path starts at the row-major first pixel with one neighbour left,
+    else at the row-major first pixel left.  Its first step goes to the
+    row-major first neighbour, each later one to the neighbour whose ring
+    place is nearest the last step's (the least turn), ties to the
+    row-major first.  Every pixel is taken exactly once.
+    """
+    # each pixel's neighbours not yet taken, as ring indices
+    free = {p: set() for p in pixels}
+    for (x, y), steps in free.items():
+        steps.update(i for i, (dx, dy) in enumerate(_RING) if (x + dx, y + dy) in free)
+    ends = {p for p, steps in free.items() if len(steps) == 1}  # one step left
+    paths = []
+    while free:
+        cur = min(ends or free, key=rowmajor)
+        path = [cur]
+        order = _FIRST_STEPS
+        while steps := free.pop(cur):  # a pixel with no step left is not in ends
+            ends.discard(cur)
+            x, y = cur
+            for i in steps:  # cur is taken: drop it from its neighbours' sets
+                q = (x + _RING[i][0], y + _RING[i][1])
+                back = free[q]
+                back.remove((i + 4) % 8)  # the opposite ring place
+                if len(back) == 1:
+                    ends.add(q)
+                elif not back:
+                    ends.discard(q)
+            if len(steps) == 1:
+                (i,) = steps
+            else:
+                i = next(j for j in order if j in steps)
+            order = _NEXT_STEPS[i]
+            cur = (x + _RING[i][0], y + _RING[i][1])
+            path.append(cur)
+        paths.append(path)
+    return paths
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,10 @@ from glyphcode import (
     point_line_distance,
     segment_extent,
 )
-from glyphcode.encoder import _arc_from_run, _walk_paths
+from glyphcode.encoder import _arc_from_run
 from glyphcode.geomfit import _moments, sampson_residual
 from glyphcode.matcher import element_match, element_subset, subset_alignment
-from glyphcode.raster import components, neighbors, pixel_centroid
+from glyphcode.raster import components, neighbors, pixel_centroid, walk_paths
 
 # tolerances sized for codes in pixel units, where the defaults are sized
 # for codes scaled by 1/size; the pixel-unit relation tests use these
@@ -315,6 +315,13 @@ def random_pixel_run(rng, min_len=5, max_len=60, span=500):
 # reference path walk
 
 
+def reference_turn(heading, step):
+    """The angle in radians between a walk's `heading` and a step (dx, dy)."""
+    ang = math.atan2(step[1], step[0])
+    d = abs(ang - heading) % (2 * math.pi)
+    return min(d, 2 * math.pi - d)
+
+
 def reference_walk_paths(pixels):
     """Maximal 8-connected paths, rescanning the remaining pixels for
     endpoints before each path."""
@@ -335,9 +342,7 @@ def reference_walk_paths(pixels):
                 nxt = min(nbrs, key=rowmajor)
             else:
                 def turn(n):
-                    ang = math.atan2(n[1] - cur[1], n[0] - cur[0])
-                    d = abs(ang - heading) % (2 * math.pi)
-                    return min(d, 2 * math.pi - d)
+                    return reference_turn(heading, (n[0] - cur[0], n[1] - cur[1]))
 
                 nxt = min(nbrs, key=lambda n: (turn(n), rowmajor(n)))
             heading = math.atan2(nxt[1] - cur[1], nxt[0] - cur[0])
@@ -357,7 +362,7 @@ def reference_extract_lines(stroke, cfg):
     measures the next pixel against `fit_line` of the run so far."""
     out = []
     residual = set()
-    for path in _walk_paths(stroke.pixels):
+    for path in walk_paths(stroke.pixels):
         rows = Moments.prefix(path)  # path[i:j] has moments rows[j] - rows[i]
         i = 0
         n = len(path)
@@ -409,7 +414,7 @@ def reference_cluster_ellipses(residual, cfg):
     for comp in components(residual):
         origin = (min(x for x, _ in comp), min(y for _, y in comp))
         comp_arcs, comp_small = [], []
-        for path in _walk_paths(comp):
+        for path in walk_paths(comp):
             rows = Moments.prefix(path, 4, origin)
             pts = np.array(path, dtype=float)
             i, n = 0, len(path)

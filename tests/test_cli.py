@@ -397,6 +397,22 @@ def test_recognize_corrupt_codebook(tmp_path, glyph_pbm):
     assert main(["recognize", str(glyph_pbm), str(bad), "--size", "60"]) == EXIT_CODEBOOK
 
 
+@pytest.mark.parametrize("command", ["recognize", "identify-font"])
+@pytest.mark.parametrize(
+    "content",
+    [b'{"font": "\xff"}', b'{"tolerances": ' + b"[" * 5000 + b"]" * 5000 + b"}"],
+    ids=["not-utf-8", "nested-5000-deep"],
+)
+def test_unreadable_codebook_exits_4(tmp_path, glyph_pbm, command, content):
+    """Bad UTF-8 once exited 2, and deep nesting crashed with a RecursionError."""
+    book = tmp_path / "book.json"
+    book.write_bytes(content)
+    proc = _run_cli(command, str(glyph_pbm), str(book), "--size", "60")
+    assert proc.returncode == EXIT_CODEBOOK, proc.stderr
+    assert "cannot read codebook" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_recognize_overflowing_skipped_exits_4(tmp_path, glyph_pbm, capsys):
     book = tmp_path / "book.json"
     save_codebook(Codebook("x", MatchTolerances()), book)

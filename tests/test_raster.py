@@ -1,5 +1,7 @@
 """Raster module: binarize, thinning, segmentation, netpbm I/O."""
 
+import itertools
+import math
 import random
 import re
 
@@ -21,13 +23,14 @@ from glyphcode import (
     thin,
     write_pbm,
 )
-from glyphcode.raster import _REDUNDANT, _RING, components
+from glyphcode.raster import _FIRST_STEPS, _NEXT_STEPS, _REDUNDANT, _RING, components, rowmajor
 from glyphcode.render import DEMO_GLYPHS, render_glyph
 from conftest import (
     count_components,
     random_blob,
     reference_components,
     reference_prune,
+    reference_turn,
     reference_zhang_suen,
 )
 
@@ -282,6 +285,21 @@ def test_components_match_ndimage_labels_on_dilated_demo_skeletons():
             for image in (BinaryRaster(bits), thin(BinaryRaster(bits))):
                 pixels = image.foreground()
                 assert components(pixels) == reference_components(pixels), (name, grow)
+
+
+def test_walk_step_orders_are_the_reference_turn_orders():
+    """Every (last step, candidate, candidate) triple of ring offsets: ring
+    distance orders and ties the two candidates as the reference walk's
+    atan2 turn does, so `_NEXT_STEPS` lists the steps by (turn, row-major
+    place), and `_FIRST_STEPS` lists them in row-major order."""
+    assert [_RING[i] for i in _FIRST_STEPS] == sorted(_RING, key=rowmajor)
+    for last, a, b in itertools.product(range(8), repeat=3):
+        heading = math.atan2(_RING[last][1], _RING[last][0])
+        turn = {k: reference_turn(heading, _RING[k]) for k in (a, b)}
+        ring = {k: min((k - last) % 8, (last - k) % 8) for k in (a, b)}
+        assert (ring[a] < ring[b], ring[a] == ring[b]) == (turn[a] < turn[b], turn[a] == turn[b])
+        by_turn = sorted((a, b), key=lambda k: (turn[k], rowmajor(_RING[k])))
+        assert sorted((a, b), key=_NEXT_STEPS[last].index) == by_turn
 
 
 def test_centroid_examples():
