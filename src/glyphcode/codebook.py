@@ -25,6 +25,7 @@ from .encoder import (
     PointCode,
     SubWordCode,
     WordCode,
+    _number_from_obj,
     encode_word,
     scale_subword,
     subword_from_obj,
@@ -330,25 +331,36 @@ def build_fingerprints(books):
     return books
 
 
-def _windows(code: SubWordCode, word: WordCode, t: MatchTolerances, covered=None):
+def _open_subwords(word: WordCode, covered=None, n: int = 0):
+    """(index, elements, covered offsets) of each sub-word of `word` with
+    at least `n` elements outside `covered[index]`; by default nothing is
+    covered and every sub-word is kept."""
+    out = []
+    for si, entry in enumerate(word.subwords):
+        elems = entry.code.elements
+        done = covered[si] if covered else ()
+        if len(elems) - len(done) >= n:
+            out.append((si, elems, done))
+    return out
+
+
+def _windows(code: SubWordCode, subwords, t: MatchTolerances):
     """Yield (sub-word index, offset, alignment) for each window where
     `code` aligns anchored at the offset, in ascending order.
 
-    Offsets in `covered[si]` are skipped, as is a sub-word with fewer
-    uncovered elements than the code.
+    `subwords` holds (index, elements, covered offsets) triples, as
+    `_open_subwords` makes them.  Every uncovered offset up to the last
+    one the code fits from goes to `subset_alignment`, which rejects most
+    of them on the anchored first element alone.
     """
     telems = code.elements
-    for si, entry in enumerate(word.subwords):
-        delems = entry.code.elements
-        done = covered[si] if covered else ()
-        if len(delems) - len(done) < len(telems):
-            continue
-        for j in range(len(delems) - len(telems) + 1):
-            if j in done:
-                continue
-            align = subset_alignment(telems, delems, t, anchor=j)
-            if align is not None:
-                yield si, j, align
+    n = len(telems)
+    for si, delems, done in subwords:
+        for j in range(len(delems) - n + 1):
+            if j not in done:
+                align = subset_alignment(telems, delems, t, anchor=j)
+                if align is not None:
+                    yield si, j, align
 
 
 def find_matches(word: WordCode, target: SubWordCode, t: MatchTolerances):
@@ -357,16 +369,17 @@ def find_matches(word: WordCode, target: SubWordCode, t: MatchTolerances):
     An occurrence is a subset alignment of the target's elements into a
     sub-word's element sequence, anchored at the offset.
     """
-    return [(si, j) for si, j, _ in _windows(target, word, t)]
+    return [(si, j) for si, j, _ in _windows(target, _open_subwords(word), t)]
 
 
 def identify_font(word: WordCode, books) -> str | None:
     """Font whose fingerprint hits the word most, each book's fingerprint
     matched under its own tolerances; None on ties or no hits."""
+    subwords = _open_subwords(word)
     scores = []
     for book in books:
         hits = sum(
-            1 for code in book.fingerprint for _ in _windows(code, word, book.tolerances)
+            1 for code in book.fingerprint for _ in _windows(code, subwords, book.tolerances)
         )
         scores.append((hits, book.font))
     best = max((h for h, _ in scores), default=0)
@@ -396,12 +409,13 @@ def recognize(word: WordCode, book: Codebook, t: MatchTolerances):
         key=lambda cc: (-len(cc.code.elements), cc.glyph, cc.position.value),
     )
     results = []
-    for _, group in itertools.groupby(ordered, key=lambda cc: len(cc.code.elements)):
+    for n, group in itertools.groupby(ordered, key=lambda cc: len(cc.code.elements)):
         group = list(group)
         while True:
             hits = []
+            subwords = _open_subwords(word, covered, n)
             for cc in group:
-                for si, j, align in _windows(cc.code, word, t, covered):
+                for si, j, align in _windows(cc.code, subwords, t):
                     if covered[si].isdisjoint(align):
                         hits.append((si, j, align, cc))
                         break
@@ -422,7 +436,7 @@ def _tol_to_obj(t: MatchTolerances):
 
 
 def _tol_from_obj(obj) -> MatchTolerances:
-    vals = {attr: float(obj[key]) for key, attr in TOLERANCE_KEYS.items()}
+    vals = {attr: _number_from_obj(obj[key]) for key, attr in TOLERANCE_KEYS.items()}
     if not all(0 < v < math.inf for v in vals.values()):
         raise ValueError(f"tolerances must be finite and positive: {obj}")
     return MatchTolerances(**vals)

@@ -490,10 +490,21 @@ _KIND_BY_ARITY = {
 }
 
 
+def _number_from_obj(v) -> float:
+    """`v` as a float when it is a JSON number; a bool, a string or an
+    integer too large for a float is not."""
+    if type(v) not in (int, float):
+        raise ValueError(f"expected a JSON number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"number too large for a float: {v}") from None
+
+
 def _primitive_from_obj(obj):
     """A primitive the encoder can emit: finite parameters, lines of
     positive length, arcs with a >= b > 0."""
-    vals = [float(v) for v in obj]
+    vals = [_number_from_obj(v) for v in obj]
     if len(vals) not in _KIND_BY_ARITY:
         raise ValueError(f"primitive arity {len(vals)} not recognized")
     code = _KIND_BY_ARITY[len(vals)](*vals)
@@ -508,7 +519,9 @@ def _primitive_from_obj(obj):
 
 def _dirs_from_obj(obj) -> tuple[int, int, int]:
     dirs = tuple(obj)
-    if len(dirs) != 3 or not all(d in range(8) or d == FREEMAN_NULL for d in dirs):
+    if len(dirs) != 3 or not all(
+        type(d) in (int, float) and (d in range(8) or d == FREEMAN_NULL) for d in dirs
+    ):
         raise ValueError(f"Freeman directions must be three of 0-7 or 9, got {obj!r}")
     return tuple(map(int, dirs))
 

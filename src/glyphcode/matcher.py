@@ -80,7 +80,12 @@ def line_equiv(i: LineSegmentCode, j: LineSegmentCode, t: MatchTolerances) -> bo
 
 
 def line_subset(i: LineSegmentCode, j: LineSegmentCode, t: MatchTolerances) -> bool:
-    return i.l <= j.l + t.dl and angdist180(i.alpha, j.alpha) < t.dalpha
+    """Not longer than `j` beyond dl, and within dalpha of its angle; the
+    length is checked first and angdist180 is written out inline."""
+    if not i.l <= j.l + t.dl:
+        return False
+    d = abs(i.alpha - j.alpha) % 180.0
+    return d < t.dalpha or 180.0 - d < t.dalpha
 
 
 def _phi_flip(i: EllipseArcCode, j: EllipseArcCode) -> float:
@@ -173,17 +178,27 @@ def freeman_sum(dirs) -> int:
     return freeman_direction((0.0, 0.0), (sx, sy))
 
 
-def _dirs_subset(probe_dirs, target_dirs) -> bool:
-    """Direction agreement with 9-wildcard on the probe side."""
-    return all(p == FREEMAN_NULL or p == q for p, q in zip(probe_dirs, target_dirs))
-
-
 def element_equiv(ci: CodedElement, cj: CodedElement, t: MatchTolerances) -> bool:
     return ci.dirs == cj.dirs and primitive_equiv(ci.code, cj.code, t)
 
 
 def element_subset(ci: CodedElement, cj: CodedElement, t: MatchTolerances) -> bool:
-    return _dirs_subset(ci.dirs, cj.dirs) and primitive_subset(ci.code, cj.code, t)
+    """The three directions agree (9 on the probe side is a wildcard),
+    and the primitives are of one kind with `ci`'s a subset of `cj`'s.
+
+    The directions are checked first, and a pair that differs returns
+    False before the kind and parameters are looked at.
+    """
+    (p1, p2, p3), (q1, q2, q3) = ci.dirs, cj.dirs
+    if (
+        (p1 != q1 and p1 != FREEMAN_NULL)
+        or (p2 != q2 and p2 != FREEMAN_NULL)
+        or (p3 != q3 and p3 != FREEMAN_NULL)
+    ):
+        return False
+    code = ci.code
+    kind = type(code)
+    return kind is type(cj.code) and _SUBSET[kind](code, cj.code, t)
 
 
 def element_match(ci: CodedElement, dseq, q: int, k: int, t: MatchTolerances) -> bool:
@@ -224,18 +239,23 @@ def subset_alignment(cseq, dseq, t: MatchTolerances, anchor: int | None = None):
     the direction sum over d[r_{i-1}+1 .. r_i].  The search is depth-first
     over an explicit stack and returns the earliest alignment; `dead`
     holds the (element index, previous position) states that have no
-    completion.  A negative `anchor` raises IndexError; one past the end
-    gives None.
+    completion.  A negative `anchor` raises IndexError.  An anchor past
+    m - n gives None, and so does one where c_1 is not an element subset
+    of d[anchor]; both return before any search state is built.
     """
     if anchor is not None and anchor < 0:
         raise IndexError("anchor must be at least 0")
     n, m = len(cseq), len(dseq)
     if n == 0:
         return []
+    if anchor is None:
+        starts = (j for j in range(m - n + 1) if element_subset(cseq[0], dseq[j], t))
+    elif anchor > m - n or not element_subset(cseq[0], dseq[anchor], t):
+        return None
+    else:
+        starts = (anchor,)
     dead: set[tuple[int, int]] = set()
-    for j in [anchor] if anchor is not None else range(m - n + 1):
-        if j > m - n or not element_subset(cseq[0], dseq[j], t):
-            continue
+    for j in starts:
         path = [j]  # positions chosen so far, one per aligned element
         nxt = [j + 1]  # per open state, the next position to try
         while path:

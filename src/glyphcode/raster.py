@@ -23,7 +23,6 @@ __all__ = [
     "segment",
     "components",
     "walk_paths",
-    "neighbors",
     "pixel_centroid",
     "rowmajor",
     "load_image",
@@ -155,12 +154,6 @@ _ZHANG_SUEN = [
     for products in ((0b0010101, 0b1010100), (0b1000101, 0b1010001))
 ]
 _REDUNDANT = np.array([_redundant(c) for c in range(256)])
-
-
-def neighbors(pixel, pool) -> list[tuple[int, int]]:
-    """The 8-neighbors of `pixel` that are in `pool`, in ring order."""
-    x, y = pixel
-    return [q for dx, dy in _RING if (q := (x + dx, y + dy)) in pool]
 
 
 def _ring_codes(grid: np.ndarray, ink: np.ndarray, offsets) -> np.ndarray:

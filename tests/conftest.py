@@ -47,10 +47,10 @@ from glyphcode import (
     point_line_distance,
     segment_extent,
 )
-from glyphcode.encoder import _arc_from_run
+from glyphcode.encoder import FREEMAN_NULL, _arc_from_run
 from glyphcode.geomfit import _moments, sampson_residual
-from glyphcode.matcher import element_match, element_subset, subset_alignment
-from glyphcode.raster import components, neighbors, pixel_centroid, walk_paths
+from glyphcode.matcher import angdist180, arc_subset, freeman_sum, subset_alignment
+from glyphcode.raster import _RING, components, pixel_centroid, walk_paths
 
 # tolerances sized for codes in pixel units, where the defaults are sized
 # for codes scaled by 1/size; the pixel-unit relation tests use these
@@ -313,6 +313,12 @@ def random_pixel_run(rng, min_len=5, max_len=60, span=500):
 
 # ---------------------------------------------------------------------------
 # reference path walk
+
+
+def neighbors(pixel, pool) -> list[tuple[int, int]]:
+    """The 8-neighbors of `pixel` that are in `pool`, in ring order."""
+    x, y = pixel
+    return [q for dx, dy in _RING if (q := (x + dx, y + dy)) in pool]
 
 
 def reference_turn(heading, step):
@@ -628,6 +634,93 @@ def random_blob(rng, width=40, height=40, walkers=3, steps=60, pen=2):
 
 
 # ---------------------------------------------------------------------------
+# reference element relations and alignment search: the plain forms, with
+# no early exits, of the library's element_subset, line_subset,
+# element_match and subset_alignment.  The library's fast forms must agree
+# with them on every input; arc_subset and angdist180 are shared.
+
+
+def reference_dirs_subset(probe_dirs, target_dirs) -> bool:
+    """Direction agreement with 9-wildcard on the probe side."""
+    return all(p == FREEMAN_NULL or p == q for p, q in zip(probe_dirs, target_dirs))
+
+
+def reference_line_subset(i, j, t) -> bool:
+    return i.l <= j.l + t.dl and angdist180(i.alpha, j.alpha) < t.dalpha
+
+
+_REFERENCE_SUBSET = {
+    LineSegmentCode: reference_line_subset,
+    EllipseArcCode: arc_subset,
+    PointCode: lambda i, j, t: True,
+}
+
+
+def reference_primitive_subset(i, j, t) -> bool:
+    return type(i) is type(j) and _REFERENCE_SUBSET[type(i)](i, j, t)
+
+
+def reference_element_subset(ci, cj, t) -> bool:
+    return reference_dirs_subset(ci.dirs, cj.dirs) and reference_primitive_subset(
+        ci.code, cj.code, t
+    )
+
+
+def reference_element_match(ci, dseq, q, k, t) -> bool:
+    """element_match over the reference primitive subset."""
+    if k < 1:
+        raise IndexError("k must be at least 1")
+    if q < 0 or q + k >= len(dseq):
+        raise IndexError("q or q + k outside the target sequence")
+    if not reference_primitive_subset(ci.code, dseq[q + k].code, t):
+        return False
+    for j in range(3):
+        if ci.dirs[j] == FREEMAN_NULL:
+            continue
+        summed = freeman_sum(dseq[q + r].dirs[j] for r in range(1, k + 1))
+        if ci.dirs[j] != summed:
+            return False
+    return True
+
+
+def reference_subset_alignment(cseq, dseq, t, anchor=None):
+    """subset_alignment with one loop over the start positions, anchored
+    or not, and the search state built before the first element is
+    tested."""
+    if anchor is not None and anchor < 0:
+        raise IndexError("anchor must be at least 0")
+    n, m = len(cseq), len(dseq)
+    if n == 0:
+        return []
+    dead = set()
+    for j in [anchor] if anchor is not None else range(m - n + 1):
+        if j > m - n or not reference_element_subset(cseq[0], dseq[j], t):
+            continue
+        path = [j]
+        nxt = [j + 1]
+        while path:
+            i = len(path)
+            if i == n:
+                return path
+            ci, prev, r, last = cseq[i], path[-1], nxt[-1], m - n + i
+            while r <= last and not (
+                reference_element_subset(ci, dseq[r], t)
+                or reference_element_match(ci, dseq, prev, r - prev, t)
+            ):
+                r += 1
+            if r > last:
+                dead.add((i, prev))
+                path.pop()
+                nxt.pop()
+            else:
+                nxt[-1] = r + 1
+                if (i + 1, r) not in dead:
+                    path.append(r)
+                    nxt.append(r + 1)
+    return None
+
+
+# ---------------------------------------------------------------------------
 # exhaustive alignment oracle (matcher conformance authority)
 
 
@@ -639,14 +732,14 @@ def alignment_oracle(cseq, dseq, t):
     if n > m:
         return False
     for positions in itertools.combinations(range(m), n):
-        if not element_subset(cseq[0], dseq[positions[0]], t):
+        if not reference_element_subset(cseq[0], dseq[positions[0]], t):
             continue
         ok = True
         for i in range(1, n):
             prev, cur = positions[i - 1], positions[i]
-            if element_subset(cseq[i], dseq[cur], t):
+            if reference_element_subset(cseq[i], dseq[cur], t):
                 continue
-            if element_match(cseq[i], dseq, prev, cur - prev, t):
+            if reference_element_match(cseq[i], dseq, prev, cur - prev, t):
                 continue
             ok = False
             break

@@ -413,6 +413,20 @@ def test_unreadable_codebook_exits_4(tmp_path, glyph_pbm, command, content):
     assert "Traceback" not in proc.stderr
 
 
+def test_recognize_codebook_with_a_bool_in_a_code_exits_4(tmp_path, glyph_pbm):
+    """`true` once loaded as the number 1.0, and as Freeman direction 1."""
+    book = tmp_path / "book.json"
+    entry = CharacterCode("vee", Position.ISOLATED, SubWordCode(()))
+    save_codebook(Codebook("x", MatchTolerances(), {("vee", "isolated"): entry}), book)
+    obj = json.loads(book.read_text())
+    obj["entries"][0]["code"] = [{"code": [True, 90.0, 0.5], "dirs": [True, False, 9]}]
+    book.write_text(json.dumps(obj))
+    proc = _run_cli("recognize", str(glyph_pbm), str(book), "--size", "60")
+    assert proc.returncode == EXIT_CODEBOOK, proc.stderr
+    assert "malformed codebook" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_recognize_overflowing_skipped_exits_4(tmp_path, glyph_pbm, capsys):
     book = tmp_path / "book.json"
     save_codebook(Codebook("x", MatchTolerances()), book)

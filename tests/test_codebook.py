@@ -469,10 +469,15 @@ NAN, INF = float("nan"), float("inf")
         _seq(LineSegmentCode(0.1, 90, -0.8)),
         _seq(LineSegmentCode(INF, 90, 0.8)),
         _seq(PointCode(0.5, NAN)),
+        _seq(LineSegmentCode(True, 90, 0.8)),
+        _seq(LineSegmentCode(0.1, 90, "0.8")),
+        _seq(PointCode("1", "2")),
+        _seq(EllipseArcCode(0.5, 0.5, 0.3, 0.1, 0, False, 90)),
     ],
     ids=[
         "empty", "arc-nan-x0", "arc-zero-axes", "arc-negative-b", "arc-a-below-b",
         "arc-inf-gamma", "line-zero-l", "line-negative-l", "line-inf-p", "point-nan",
+        "line-bool-p", "line-string-l", "point-strings", "arc-bool-beta",
     ],
 )
 def test_load_rejects_bad_codes(tmp_path, code):
@@ -493,13 +498,15 @@ def test_load_rejects_wrong_dirs_length(tmp_path):
 def test_load_rejects_dirs_out_of_range(tmp_path):
     ok = SubWordCode((_el(PointCode(0, 0), (0, 7, 9)),))
     assert load_codebook(_saved_book(tmp_path, entry=ok)).entries
-    for dirs in ((42, -3, 7), (0, 8, 9), (-1, 9, 9), (1e400, 9, 9)):
+    for dirs in (
+        (42, -3, 7), (0, 8, 9), (-1, 9, 9), (1e400, 9, 9), (True, False, 9), ("1", 9, 9),
+    ):
         path = _saved_book(tmp_path, entry=SubWordCode((_el(PointCode(0, 0), dirs),)))
         with pytest.raises(CodebookFormatError):
             load_codebook(path)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0, True, "6.0"])
 def test_load_rejects_bad_tolerances(tmp_path, bad):
     path = _saved_book(tmp_path, tolerances=MatchTolerances(dalpha=bad))
     with pytest.raises(CodebookFormatError):

@@ -34,11 +34,12 @@ from glyphcode import (
     word_to_json,
 )
 from glyphcode import encoder, segment, thin
-from glyphcode.raster import neighbors, rowmajor, walk_paths
+from glyphcode.raster import rowmajor, walk_paths
 from glyphcode.encoder import _arc_from_run, cluster_ellipses, extract_lines
 from glyphcode.geomfit import EllipseCoefficients
 from glyphcode.render import DEMO_GLYPHS, render_glyph, render_word_image
 from conftest import (
+    neighbors,
     random_blob,
     random_pixel_run,
     reference_cluster_ellipses,
@@ -682,10 +683,16 @@ def test_word_json_roundtrip():
         ([3.0, 4.0], [1e400, 9, 9]),
         ([3.0, 4.0], [2.5, 9, 9]),
         ([3.0, 4.0], [8, 9, 9]),
+        ([True, 90.0, 0.5], [9, 9, 9]),
+        (["1", "2"], [9, 9, 9]),
+        ([3.0, 4.0], [True, False, 9]),
+        ([3.0, 4.0], ["1", 9, 9]),
+        ([10**400, 2.0], [9, 9, 9]),
     ],
     ids=[
         "arc-nan-x0", "arc-a-below-b", "line-zero-l", "point-inf",
         "dir-overflow", "dir-fraction", "dir-8",
+        "line-bool-p", "point-strings", "dir-bools", "dir-string", "point-huge-int",
     ],
 )
 def test_word_from_json_rejects_what_no_encoder_emits(code, dirs):

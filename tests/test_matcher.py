@@ -1,5 +1,6 @@
 """Matcher relations: primitive/element/sequence equivalence and subset."""
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -25,13 +26,21 @@ from glyphcode import (
     sequence_subset,
 )
 from glyphcode.encoder import WordEntry
-from glyphcode.matcher import primitive_equiv, primitive_subset, subset_alignment
+from glyphcode.matcher import (
+    element_subset,
+    primitive_equiv,
+    primitive_subset,
+    subset_alignment,
+)
 from conftest import (
     PIXEL_TOLERANCES as T,
     alignment_oracle,
+    random_dirs,
     random_element,
     random_primitive,
     random_sequence,
+    reference_element_subset,
+    reference_subset_alignment,
 )
 
 
@@ -217,6 +226,106 @@ def test_sequence_subset_oracle_agreement(rng):
         c = random_sequence(rng, 4)
         d = random_sequence(rng, 5)
         assert sequence_subset(c, d, T) == alignment_oracle(c, d, T)
+
+
+def test_element_subset_directions_match_the_reference():
+    """Every pair of direction triples over 0-7 and 9, on primitives that
+    relate, so the directions alone decide."""
+    line = LineSegmentCode(0, 90, 10)
+    elements = [
+        CodedElement(line, d) for d in itertools.product((0, 1, 2, 3, 4, 5, 6, 7, 9), repeat=3)
+    ]
+    hits = 0
+    for ci in elements:
+        got = [element_subset(ci, cj, T) for cj in elements]
+        assert got == [reference_element_subset(ci, cj, T) for cj in elements]
+        hits += sum(got)
+    assert hits == 17**3  # per slot: a 9 takes all 9 targets, a direction 1
+
+
+def _near(rng, v, tol, period=None):
+    """`v`, or `v` off by about its tolerance `tol` (within 1e-9 of it, or
+    anywhere in 3 tolerances), shifted by a whole `period` at random."""
+    r = rng.random()
+    if r < 0.2:
+        return v
+    if r < 0.8:
+        off = rng.choice((-1, 1)) * (tol + rng.choice((-1e-9, 0.0, 1e-9)))
+    else:
+        off = rng.uniform(-3 * tol, 3 * tol)
+    if period is not None:
+        off += period * rng.randint(-2, 2)
+    return v + off
+
+
+def _near_probe(rng, target, t):
+    """A probe for `target` whose compared values lie near their tolerances;
+    one probe in four is a random primitive, most often of another kind."""
+    code = target.code
+    if rng.random() < 0.25:
+        probe = random_primitive(rng)
+    elif isinstance(code, LineSegmentCode):
+        probe = LineSegmentCode(
+            rng.uniform(0, 30), _near(rng, code.alpha, t.dalpha, 180.0), _near(rng, code.l, t.dl)
+        )
+    elif isinstance(code, EllipseArcCode):
+        probe = replace(
+            code,
+            a=_near(rng, code.a, t.da),
+            b=_near(rng, code.b, t.db),
+            phi=_near(rng, code.phi, t.dphi, 180.0),
+            beta=_near(rng, code.beta, t.dbeta, 360.0),
+            gamma=_near(rng, code.gamma, t.dgamma, 360.0),
+        )
+    else:
+        probe = PointCode(rng.uniform(0, 50), rng.uniform(0, 50))
+    return CodedElement(probe, random_dirs(rng))
+
+
+def test_element_subset_matches_the_reference_near_tolerances(rng):
+    """Random elements of all three kinds, cross-kind pairs included, and
+    probes whose lengths and angles lie within 1e-9 of each tolerance."""
+    outcomes = set()
+    for _ in range(20000):
+        target = random_element(rng)
+        probe = _near_probe(rng, target, T)
+        for ci in (probe, replace(probe, dirs=target.dirs)):
+            got = element_subset(ci, target, T)
+            assert got == reference_element_subset(ci, target, T), (ci, target)
+            outcomes.add((type(ci.code), type(target.code), got))
+    kinds = (LineSegmentCode, EllipseArcCode, PointCode)
+    assert {(k, k, True) for k in kinds} | {(k, k, False) for k in kinds[:2]} <= outcomes
+    assert (LineSegmentCode, EllipseArcCode, False) in outcomes
+
+
+def _alphabet_sequence(rng, alphabet, lo, hi):
+    return tuple(rng.choice(alphabet) for _ in range(rng.randint(lo, hi)))
+
+
+def test_subset_alignment_matches_the_reference(rng):
+    """Anchored and unanchored searches return the reference's alignments;
+    a small alphabet makes most searches go deep and many of them hit."""
+    lines = [LineSegmentCode(0, a, l) for a in (0, 45, 90) for l in (5, 10)]
+    alphabet = [
+        CodedElement(code, dirs)
+        for code in lines + [PointCode(0, 0), arc()]
+        for dirs in ((0, 9, 9), (2, 0, 9), (9, 9, 9), (0, 2, 9))
+    ]
+    hits = 0
+    for _ in range(1500):
+        c = _alphabet_sequence(rng, alphabet, 0, 4)
+        d = _alphabet_sequence(rng, alphabet, 0, 8)
+        want = reference_subset_alignment(c, d, T)
+        assert subset_alignment(c, d, T) == want
+        hits += want is not None
+        for anchor in range(len(d) + 2):
+            assert subset_alignment(c, d, T, anchor=anchor) == reference_subset_alignment(
+                c, d, T, anchor=anchor
+            )
+        for f in (subset_alignment, reference_subset_alignment):
+            with pytest.raises(IndexError):
+                f(c, d, T, anchor=-1)
+    assert 300 < hits < 1400
 
 
 def test_subset_alignment_long_code():
