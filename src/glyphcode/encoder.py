@@ -31,7 +31,7 @@ from .geomfit import (
     point_line_distance,
     sampson_residual,
 )
-from .raster import BinaryRaster, Stroke, components, pixel_centroid, segment, thin, walk_paths
+from .raster import BinaryRaster, Stroke, component_paths, pixel_centroid, segment, thin
 
 __all__ = [
     "FREEMAN_NULL",
@@ -170,7 +170,8 @@ _TIE_BAND = 1e-9
 def extract_lines(stroke: Stroke, cfg: EncoderConfig):
     """Harvest straight runs from the stroke's skeleton pixels.
 
-    Walks the maximal paths of `raster.walk_paths`; each run seeds on two
+    Walks the stroke's maximal paths (`Stroke.paths`, as
+    `raster.walk_paths` gives them); each run seeds on two
     pixels and grows while the next path pixel stays within `dd` of the
     best-fit line of the run so far.  Each step is screened in floats from the run's integer sums:
     the pixel's distance from the centroid along `fit_line`'s normal
@@ -187,7 +188,7 @@ def extract_lines(stroke: Stroke, cfg: EncoderConfig):
     dd = cfg.dd
     out = []
     residual: set[tuple[int, int]] = set()
-    for path in walk_paths(stroke.pixels):
+    for path in stroke.paths:
         i = 0
         n = len(path)
         while i < n:
@@ -325,8 +326,9 @@ def _rejoin_arcs(arcs, cfg: EncoderConfig) -> None:
 def cluster_ellipses(residual, cfg: EncoderConfig):
     """Group leftover pixels into ellipse-arc runs.
 
-    The residual is split into 8-connected components, each walked by
-    `raster.walk_paths`; along a path, runs seed on 5 pixels and grow
+    The residual is split into 8-connected components, each walked as
+    `raster.walk_paths` does (`raster.component_paths` reads each pixel's
+    ring once for both); along a path, runs seed on 5 pixels and grow
     greedily, one pixel at a time, while the gradient-weighted fit
     residual stays within `e_res`; a run that cannot be fitted yet keeps
     growing.  The growth is evaluated in blocks of candidate ends,
@@ -348,11 +350,11 @@ def cluster_ellipses(residual, cfg: EncoderConfig):
     """
     arcs: list[tuple[EllipseArcCode, frozenset]] = []
     leftovers: list[frozenset] = []
-    for comp in components(residual):
+    for comp, paths in component_paths(residual):
         origin = (min(x for x, _ in comp), min(y for _, y in comp))
         comp_arcs: list[tuple[tuple, EllipseArcCode]] = []  # (run, arc code)
         comp_small: list[tuple] = []
-        for path in walk_paths(comp):
+        for path in paths:
             rows = Moments.prefix(path, 4, origin)
             pts = np.array(path, dtype=float)
             i = 0

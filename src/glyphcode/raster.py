@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import cached_property
+from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "thin",
     "segment",
     "components",
+    "component_paths",
     "walk_paths",
     "pixel_centroid",
     "rowmajor",
@@ -71,7 +73,7 @@ class BinaryRaster:
     def foreground(self) -> list[tuple[int, int]]:
         """Foreground pixels as (x, y) tuples in row-major order."""
         ys, xs = np.nonzero(self.bits)
-        return [(int(x), int(y)) for y, x in zip(ys, xs)]
+        return list(zip(xs.tolist(), ys.tolist()))
 
     @classmethod
     def from_pixels(cls, pixels, width: int, height: int) -> "BinaryRaster":
@@ -84,7 +86,7 @@ class BinaryRaster:
 def pixel_centroid(pixels) -> tuple[float, float]:
     """Arithmetic mean of (x, y) pixel coordinates."""
     n = len(pixels)
-    return sum(p[0] for p in pixels) / n, sum(p[1] for p in pixels) / n
+    return sum(map(itemgetter(0), pixels)) / n, sum(map(itemgetter(1), pixels)) / n
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,12 @@ class Stroke:
 
     def __len__(self) -> int:
         return len(self.pixels)
+
+    @cached_property
+    def paths(self) -> list[list[tuple[int, int]]]:
+        """`walk_paths(self.pixels)`; `segment` fills it in as it labels.
+        It takes no part in equality."""
+        return walk_paths(self.pixels)
 
 
 def binarize(image: GrayRaster, threshold: int = 128) -> BinaryRaster:
@@ -156,15 +164,17 @@ _ZHANG_SUEN = [
 _REDUNDANT = np.array([_redundant(c) for c in range(256)])
 
 
-def _ring_codes(grid: np.ndarray, ink: np.ndarray, offsets) -> np.ndarray:
-    """The 8-bit ring code of each pixel in `ink` (flat indices into `grid`)."""
-    code = np.zeros(len(ink), dtype=np.uint8)
-    for bit, off in enumerate(offsets):
-        code |= grid[ink + off] << bit
-    return code
+_BIT_WEIGHTS = np.array([1 << bit for bit in range(8)], dtype=np.uint8)
 
 
-def _prune_redundant(on: bytearray, ink: np.ndarray, offsets: list[int]) -> None:
+def _ring_codes(grid: np.ndarray, ink: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The 8-bit ring code of each pixel in `ink` (flat indices into the
+    0/1 `grid`): one gather of the 8 ring places, weighted by their bits.
+    The bits are distinct, so the uint8 product is exact."""
+    return _BIT_WEIGHTS @ grid[offsets[:, None] + ink]
+
+
+def _prune_redundant(on: bytearray, ink: np.ndarray, offsets: np.ndarray) -> None:
     """Delete staircase pixels the parallel passes cannot remove.
 
     Zhang-Suen leaves two-pixel bumps on near-diagonal strokes.  A pixel
@@ -183,10 +193,30 @@ def _prune_redundant(on: bytearray, ink: np.ndarray, offsets: list[int]) -> None
     bridge.
     """
     grid = np.frombuffer(on, dtype=np.uint8)
-    ring = list(enumerate(offsets))
+    redundant = _REDUNDANT.tolist()
+    n, ne, e, se, s, sw, w, nw = offsets.tolist()
     for i in ink[_REDUNDANT[_ring_codes(grid, ink, offsets)]].tolist():
-        if _REDUNDANT[sum(1 << bit for bit, off in ring if on[i + off])]:
+        if redundant[
+            on[i + n] | on[i + ne] << 1 | on[i + e] << 2 | on[i + se] << 3
+            | on[i + s] << 4 | on[i + sw] << 5 | on[i + w] << 6 | on[i + nw] << 7
+        ]:
             on[i] = 0
+
+
+def _offsets(width: int) -> np.ndarray:
+    """Flat-index steps to the ring places in a row-major grid `width` wide."""
+    return np.array([dy * width + dx for dx, dy in _RING])
+
+
+def _padded(image: BinaryRaster) -> tuple[bytearray, np.ndarray, int]:
+    """The raster as a 0/1 byte grid with a one-pixel background margin,
+    the flat indices of its ink in row-major order, and the grid's width."""
+    ys, xs = np.nonzero(image.bits)
+    width = image.width + 2
+    ink = (ys + 1) * width + xs + 1
+    on = bytearray((image.height + 2) * width)
+    np.frombuffer(on, dtype=np.uint8)[ink] = 1
+    return on, ink, width
 
 
 def thin(image: BinaryRaster) -> BinaryRaster:
@@ -198,11 +228,9 @@ def thin(image: BinaryRaster) -> BinaryRaster:
     foreground; `_prune_redundant` then removes the staircase doubling
     left on near-diagonal strokes.
     """
-    padded = np.pad(image.bits, 1).astype(np.uint8)
-    on = bytearray(padded.tobytes())
+    on, ink, width = _padded(image)  # ink stays in row-major order
     flat = np.frombuffer(on, dtype=np.uint8)
-    offsets = [dy * padded.shape[1] + dx for dx, dy in _RING]
-    ink = np.flatnonzero(flat)  # stays in row-major order
+    offsets = _offsets(width)
     changed = True
     while changed:
         changed = False
@@ -212,33 +240,73 @@ def thin(image: BinaryRaster) -> BinaryRaster:
             ink = ink[~hit]
             changed |= bool(hit.any())
     _prune_redundant(on, ink, offsets)
-    return BinaryRaster(flat.reshape(padded.shape)[1:-1, 1:-1])
+    return BinaryRaster(flat.reshape(-1, width)[1:-1, 1:-1])
 
 
-def components(pixels) -> list[list[tuple[int, int]]]:
-    """Split a pixel set into its 8-connected components.
+# ---------------------------------------------------------------------------
+# labelling and walking, both read from ring codes
+#
+# A pixel set is indexed by row-major integer keys, ascending, with each
+# pixel's ring code and the key steps to its ring places: flat indices
+# into `_padded`'s grid for a raster, ranked coordinates for a pixel set.
+# Integer keys compare in row-major order, so `min` and `sort` need no
+# key function.
 
-    Each component lists its pixels in row-major order, and components
-    come in the row-major order of their first pixels.
+# the ring places set in each code, in ring order
+_SET_BITS = [[bit for bit in range(8) if code >> bit & 1] for code in range(256)]
+
+
+def _ranks(v: np.ndarray) -> np.ndarray:
+    """Ranks, from 1, of the ascending coordinates `v` that keep unit
+    steps and shrink every larger gap to 2: adjacency and order survive."""
+    steps = np.ones_like(v)
+    np.minimum(v[1:] - v[:-1], 2, out=steps[1:])
+    return steps.cumsum()
+
+
+def _index_pixels(pixels):
+    """(keys, codes, pixels, offsets) of an arbitrary set of (x, y) pixels.
+
+    Keys are row-major over the ranked coordinates, so every array grows
+    with the number of pixels, not with their bounding box; ring
+    neighbours are found by binary search among the sorted keys.
     """
-    todo = set(pixels)
+    pixels = list(set(pixels))
+    if not pixels:
+        return [], [], [], []
+    xy = np.fromiter(chain.from_iterable(pixels), dtype=np.int64, count=2 * len(pixels))
+    x, y = xy[0::2], xy[1::2]
+    by_x = np.argsort(x)
+    rx = np.empty_like(x)
+    rx[by_x] = _ranks(x[by_x])
+    order = np.lexsort((x, y))  # row-major
+    width = int(rx.max()) + 2  # a margin column keeps ring steps off the next row
+    keys = _ranks(y[order]) * width + rx[order]
+    offsets = _offsets(width)
+    ring = offsets[:, None] + keys
+    found = keys[np.minimum(np.searchsorted(keys, ring), len(keys) - 1)] == ring
+    codes = _BIT_WEIGHTS @ found.view(np.uint8)
+    return keys.tolist(), codes.tolist(), [pixels[i] for i in order.tolist()], offsets.tolist()
+
+
+def _label(keys: list[int], code: dict[int, int], offsets: list[int]) -> list[list[int]]:
+    """The 8-connected components of the keyed set, each sorted, in the
+    order of their first keys."""
+    seen = set()
     out = []
-    while todo:
-        comp = [todo.pop()]
-        for x, y in comp:  # flood fill: comp grows as it is read
-            for dx, dy in _RING:
-                if (q := (x + dx, y + dy)) in todo:
-                    todo.remove(q)
+    for k in keys:  # each component is met first at its first key
+        if k in seen:
+            continue
+        seen.add(k)
+        comp = [k]
+        for p in comp:  # flood fill: comp grows as it is read
+            for bit in _SET_BITS[code[p]]:
+                if (q := p + offsets[bit]) not in seen:
+                    seen.add(q)
                     comp.append(q)
-        comp.sort(key=rowmajor)
+        comp.sort()
         out.append(comp)
-    out.sort(key=lambda c: rowmajor(c[0]))
     return out
-
-
-def segment(image: BinaryRaster) -> list[Stroke]:
-    """Split the foreground into its 8-connected components."""
-    return [Stroke(tuple(c)) for c in components(image.foreground())]
 
 
 # Ring indices in the order a walk prefers its next step: the first step
@@ -249,6 +317,87 @@ _NEXT_STEPS = [
     sorted(_FIRST_STEPS, key=lambda j, i=i: min((j - i) % 8, (i - j) % 8))
     for i in range(8)
 ]
+# _STEP[i][code]: the preferred ring place set in `code` after a step to
+# ring place i, or for a first step when i is 8; -1 for code 0
+_STEP = [
+    [next((j for j in order if code >> j & 1), -1) for code in range(256)]
+    for order in (*_NEXT_STEPS, _FIRST_STEPS)
+]
+_ONE_BIT = [code.bit_count() == 1 for code in range(256)]
+# the mask clearing, in a neighbour's code, the place opposite ring place i
+_BACK = [0xFF ^ 1 << (i + 4) % 8 for i in range(8)]
+
+
+def _walk(keys, code: dict[int, int], offsets: list[int]) -> list[list[int]]:
+    """`walk_paths` over the keyed set `keys`, which holds every ring
+    neighbour its codes name."""
+    free = {k: code[k] for k in keys}  # each pixel's neighbours not yet taken
+    ends = {k for k, c in free.items() if _ONE_BIT[c]}  # one step left
+    paths = []
+    while free:
+        cur = min(ends or free)
+        path = [cur]
+        step = _STEP[8]
+        while c := free.pop(cur):  # a pixel with no step left is not in ends
+            ends.discard(cur)
+            for bit in _SET_BITS[c]:  # cur is taken: drop it from its neighbours
+                q = cur + offsets[bit]
+                back = free[q] & _BACK[bit]
+                free[q] = back
+                if _ONE_BIT[back]:
+                    ends.add(q)
+                elif not back:
+                    ends.discard(q)
+            i = step[c]
+            step = _STEP[i]
+            cur += offsets[i]
+            path.append(cur)
+        paths.append(path)
+    return paths
+
+
+def _labelled_walks(keys, codes, pixels, offsets) -> list[tuple[list, list[list]]]:
+    """Each component of an indexed set with its walk, as pixels."""
+    pixel = dict(zip(keys, pixels)).__getitem__
+    code = dict(zip(keys, codes))
+    return [
+        (list(map(pixel, comp)), [list(map(pixel, path)) for path in _walk(comp, code, offsets)])
+        for comp in _label(keys, code, offsets)
+    ]
+
+
+def components(pixels) -> list[list[tuple[int, int]]]:
+    """Split a pixel set into its 8-connected components.
+
+    Each component lists its pixels in row-major order, and components
+    come in the row-major order of their first pixels.
+    """
+    keys, codes, pixels, offsets = _index_pixels(pixels)
+    pixel = dict(zip(keys, pixels)).__getitem__
+    return [list(map(pixel, comp)) for comp in _label(keys, dict(zip(keys, codes)), offsets)]
+
+
+def component_paths(pixels) -> list[tuple[list[tuple[int, int]], list[list[tuple[int, int]]]]]:
+    """Each of `components(pixels)` with its `walk_paths`, from one
+    reading of every pixel's ring."""
+    return _labelled_walks(*_index_pixels(pixels))
+
+
+def segment(image: BinaryRaster) -> list[Stroke]:
+    """Split the foreground into its 8-connected components, each with
+    its `walk_paths` as `Stroke.paths`, from one reading of every
+    pixel's ring."""
+    on, ink, width = _padded(image)
+    offsets = _offsets(width)
+    codes = _ring_codes(np.frombuffer(on, dtype=np.uint8), ink, offsets)
+    ys, xs = np.divmod(ink, width)
+    pixels = list(zip((xs - 1).tolist(), (ys - 1).tolist()))
+    strokes = []
+    for comp, paths in _labelled_walks(ink.tolist(), codes.tolist(), pixels, offsets.tolist()):
+        stroke = Stroke(tuple(comp))
+        stroke.__dict__["paths"] = paths  # the cached_property's slot
+        strokes.append(stroke)
+    return strokes
 
 
 def walk_paths(pixels) -> list[list[tuple[int, int]]]:
@@ -260,36 +409,9 @@ def walk_paths(pixels) -> list[list[tuple[int, int]]]:
     place is nearest the last step's (the least turn), ties to the
     row-major first.  Every pixel is taken exactly once.
     """
-    # each pixel's neighbours not yet taken, as ring indices
-    free = {p: set() for p in pixels}
-    for (x, y), steps in free.items():
-        steps.update(i for i, (dx, dy) in enumerate(_RING) if (x + dx, y + dy) in free)
-    ends = {p for p, steps in free.items() if len(steps) == 1}  # one step left
-    paths = []
-    while free:
-        cur = min(ends or free, key=rowmajor)
-        path = [cur]
-        order = _FIRST_STEPS
-        while steps := free.pop(cur):  # a pixel with no step left is not in ends
-            ends.discard(cur)
-            x, y = cur
-            for i in steps:  # cur is taken: drop it from its neighbours' sets
-                q = (x + _RING[i][0], y + _RING[i][1])
-                back = free[q]
-                back.remove((i + 4) % 8)  # the opposite ring place
-                if len(back) == 1:
-                    ends.add(q)
-                elif not back:
-                    ends.discard(q)
-            if len(steps) == 1:
-                (i,) = steps
-            else:
-                i = next(j for j in order if j in steps)
-            order = _NEXT_STEPS[i]
-            cur = (x + _RING[i][0], y + _RING[i][1])
-            path.append(cur)
-        paths.append(path)
-    return paths
+    keys, codes, pixels, offsets = _index_pixels(pixels)
+    pixel = dict(zip(keys, pixels)).__getitem__
+    return [list(map(pixel, path)) for path in _walk(keys, dict(zip(keys, codes)), offsets)]
 
 
 # ---------------------------------------------------------------------------

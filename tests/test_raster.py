@@ -23,14 +23,28 @@ from glyphcode import (
     thin,
     write_pbm,
 )
-from glyphcode.raster import _FIRST_STEPS, _NEXT_STEPS, _REDUNDANT, _RING, components, rowmajor
+from glyphcode.raster import (
+    _FIRST_STEPS,
+    _NEXT_STEPS,
+    _REDUNDANT,
+    _RING,
+    _offsets,
+    _padded,
+    _ring_codes,
+    component_paths,
+    components,
+    rowmajor,
+    walk_paths,
+)
 from glyphcode.render import DEMO_GLYPHS, render_glyph
 from conftest import (
     count_components,
+    neighbors,
     random_blob,
     reference_components,
     reference_prune,
     reference_turn,
+    reference_walk_paths,
     reference_zhang_suen,
 )
 
@@ -287,6 +301,77 @@ def test_components_match_ndimage_labels_on_dilated_demo_skeletons():
                 assert components(pixels) == reference_components(pixels), (name, grow)
 
 
+def _coin_flip_rasters():
+    """40x40 rasters of coin-flip ink, with ink in every border row and
+    column (each corner is set)."""
+    for seed in range(12):
+        bits = np.random.RandomState(seed).rand(40, 40) < 0.5
+        bits[[0, 0, -1, -1], [0, -1, 0, -1]] = True
+        yield BinaryRaster(bits)
+
+
+def test_ring_codes_match_a_per_pixel_neighbour_loop():
+    for image in _coin_flip_rasters():
+        on, ink, width = _padded(image)
+        codes = _ring_codes(np.frombuffer(on, dtype=np.uint8), ink, _offsets(width))
+        pool = set(image.foreground())
+        expected = [
+            sum(1 << _RING.index((q[0] - p[0], q[1] - p[1])) for q in neighbors(p, pool))
+            for p in image.foreground()
+        ]
+        assert codes.tolist() == expected
+
+
+def _far_apart_sets(rng):
+    """Small random clusters at negative offsets and 10**9 px apart, in
+    the same rows, the same columns and neither."""
+    far = 10**9
+    for _ in range(12):
+        clusters = []
+        corners = [(0, 0), (far, 0), (-far, 0), (0, far), (0, -far), (far, -far)]
+        for cx, cy in rng.sample(corners, 3):
+            span = rng.choice((2, 5, 9))
+            clusters.append({
+                (cx + rng.randint(-span, span) - 7, cy + rng.randint(-span, span) - 5)
+                for _ in range(rng.randint(1, 3 * span))
+            })
+        yield clusters
+
+
+def test_components_and_walks_of_pixels_far_apart():
+    """No bounding-box grid could hold these sets: the clusters are
+    labelled one by one by the reference, whose components cannot join
+    across 10**9 px."""
+    rng = random.Random(5)
+    for clusters in _far_apart_sets(rng):
+        pixels = set().union(*clusters)
+        expected = sorted(
+            (comp for c in clusters for comp in reference_components(c)),
+            key=lambda comp: rowmajor(comp[0]),
+        )
+        assert components(pixels) == expected
+        assert walk_paths(pixels) == reference_walk_paths(pixels)
+        assert component_paths(pixels) == [(c, walk_paths(c)) for c in expected]
+
+
+def test_segment_gives_each_stroke_its_walk():
+    images = list(_coin_flip_rasters())
+    for name in DEMO_GLYPHS:
+        bits = render_glyph(name, 60).bits
+        for grow in range(3):
+            if grow:
+                bits = ndimage.binary_dilation(bits, np.ones((3, 3), bool))
+            images.append(thin(BinaryRaster(bits)))
+    for image in images:
+        strokes = segment(image)
+        for stroke in strokes:
+            assert stroke.paths == walk_paths(stroke.pixels)
+            built = Stroke(stroke.pixels[::-1])  # walked lazily, equal all the same
+            assert built == stroke and built.paths == stroke.paths
+        pixels = image.foreground()
+        assert [(list(s.pixels), s.paths) for s in strokes] == component_paths(pixels)
+
+
 def test_walk_step_orders_are_the_reference_turn_orders():
     """Every (last step, candidate, candidate) triple of ring offsets: ring
     distance orders and ties the two candidates as the reference walk's
@@ -300,6 +385,14 @@ def test_walk_step_orders_are_the_reference_turn_orders():
         assert (ring[a] < ring[b], ring[a] == ring[b]) == (turn[a] < turn[b], turn[a] == turn[b])
         by_turn = sorted((a, b), key=lambda k: (turn[k], rowmajor(_RING[k])))
         assert sorted((a, b), key=_NEXT_STEPS[last].index) == by_turn
+
+
+def test_foreground_and_centroid_are_plain_numbers():
+    image = BinaryRaster.from_pixels([(3, 0), (0, 1), (2, 1)], 4, 2)
+    assert image.foreground() == [(3, 0), (0, 1), (2, 1)]
+    assert {type(v) for p in image.foreground() for v in p} == {int}
+    centroid = Stroke(tuple(image.foreground())).centroid
+    assert centroid == (5 / 3, 2 / 3) and {type(v) for v in centroid} == {float}
 
 
 def test_centroid_examples():
