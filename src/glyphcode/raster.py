@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter
 
 import numpy as np
@@ -246,47 +246,51 @@ def thin(image: BinaryRaster) -> BinaryRaster:
 # ---------------------------------------------------------------------------
 # labelling and walking, both read from ring codes
 #
-# A pixel set is indexed by row-major integer keys, ascending, with each
-# pixel's ring code and the key steps to its ring places: flat indices
-# into `_padded`'s grid for a raster, ranked coordinates for a pixel set.
-# Integer keys compare in row-major order, so `min` and `sort` need no
-# key function.
+# A pixel set is indexed by row-major integer keys, ascending, with a map
+# from each key to its ring code and to its pixel, and the key steps to
+# the ring places: flat indices into `_padded`'s grid for a raster,
+# row-major places in the bounding box for a pixel set.  Integer keys
+# compare in row-major order, so `min` and `sort` need no key function.
 
 # the ring places set in each code, in ring order
 _SET_BITS = [[bit for bit in range(8) if code >> bit & 1] for code in range(256)]
 
 
-def _ranks(v: np.ndarray) -> np.ndarray:
-    """Ranks, from 1, of the ascending coordinates `v` that keep unit
-    steps and shrink every larger gap to 2: adjacency and order survive."""
-    steps = np.ones_like(v)
-    np.minimum(v[1:] - v[:-1], 2, out=steps[1:])
-    return steps.cumsum()
+def _index_raster(image: BinaryRaster):
+    """(keys, code, pixel, offsets) of the foreground of `image`."""
+    on, ink, width = _padded(image)
+    offsets = _offsets(width)
+    codes = _ring_codes(np.frombuffer(on, dtype=np.uint8), ink, offsets)
+    ys, xs = np.divmod(ink, width)
+    keys = ink.tolist()
+    pixel = dict(zip(keys, zip((xs - 1).tolist(), (ys - 1).tolist())))
+    return keys, dict(zip(keys, codes.tolist())), pixel, offsets.tolist()
 
 
 def _index_pixels(pixels):
-    """(keys, codes, pixels, offsets) of an arbitrary set of (x, y) pixels.
+    """(keys, code, pixel, offsets) of an arbitrary set of (x, y) pixels.
 
-    Keys are row-major over the ranked coordinates, so every array grows
-    with the number of pixels, not with their bounding box; ring
-    neighbours are found by binary search among the sorted keys.
+    A key is the pixel's row-major place in the set's bounding box with
+    one margin column, which keeps ring steps off the next row.  Keys are
+    plain ints and ring neighbours are found by membership tests among
+    them, so nothing grows with the bounding box.
     """
-    pixels = list(set(pixels))
+    pixels = set(pixels)
     if not pixels:
-        return [], [], [], []
-    xy = np.fromiter(chain.from_iterable(pixels), dtype=np.int64, count=2 * len(pixels))
-    x, y = xy[0::2], xy[1::2]
-    by_x = np.argsort(x)
-    rx = np.empty_like(x)
-    rx[by_x] = _ranks(x[by_x])
-    order = np.lexsort((x, y))  # row-major
-    width = int(rx.max()) + 2  # a margin column keeps ring steps off the next row
-    keys = _ranks(y[order]) * width + rx[order]
-    offsets = _offsets(width)
-    ring = offsets[:, None] + keys
-    found = keys[np.minimum(np.searchsorted(keys, ring), len(keys) - 1)] == ring
-    codes = _BIT_WEIGHTS @ found.view(np.uint8)
-    return keys.tolist(), codes.tolist(), [pixels[i] for i in order.tolist()], offsets.tolist()
+        return [], {}, {}, []
+    xmin = min(map(itemgetter(0), pixels))
+    ymin = min(map(itemgetter(1), pixels))
+    width = max(map(itemgetter(0), pixels)) - xmin + 2
+    pixel = {(y - ymin) * width + x - xmin: (x, y) for x, y in pixels}
+    keys = sorted(pixel)
+    n, ne, e, se, s, sw, w, nw = offsets = [dy * width + dx for dx, dy in _RING]
+    code = {
+        k: (k + n in pixel) | (k + ne in pixel) << 1 | (k + e in pixel) << 2
+        | (k + se in pixel) << 3 | (k + s in pixel) << 4 | (k + sw in pixel) << 5
+        | (k + w in pixel) << 6 | (k + nw in pixel) << 7
+        for k in keys
+    }
+    return keys, code, pixel, offsets
 
 
 def _label(keys: list[int], code: dict[int, int], offsets: list[int]) -> list[list[int]]:
@@ -356,10 +360,9 @@ def _walk(keys, code: dict[int, int], offsets: list[int]) -> list[list[int]]:
     return paths
 
 
-def _labelled_walks(keys, codes, pixels, offsets) -> list[tuple[list, list[list]]]:
+def _labelled_walks(keys, code, pixel, offsets) -> list[tuple[list, list[list]]]:
     """Each component of an indexed set with its walk, as pixels."""
-    pixel = dict(zip(keys, pixels)).__getitem__
-    code = dict(zip(keys, codes))
+    pixel = pixel.__getitem__
     return [
         (list(map(pixel, comp)), [list(map(pixel, path)) for path in _walk(comp, code, offsets)])
         for comp in _label(keys, code, offsets)
@@ -372,9 +375,8 @@ def components(pixels) -> list[list[tuple[int, int]]]:
     Each component lists its pixels in row-major order, and components
     come in the row-major order of their first pixels.
     """
-    keys, codes, pixels, offsets = _index_pixels(pixels)
-    pixel = dict(zip(keys, pixels)).__getitem__
-    return [list(map(pixel, comp)) for comp in _label(keys, dict(zip(keys, codes)), offsets)]
+    keys, code, pixel, offsets = _index_pixels(pixels)
+    return [list(map(pixel.__getitem__, comp)) for comp in _label(keys, code, offsets)]
 
 
 def component_paths(pixels) -> list[tuple[list[tuple[int, int]], list[list[tuple[int, int]]]]]:
@@ -387,13 +389,8 @@ def segment(image: BinaryRaster) -> list[Stroke]:
     """Split the foreground into its 8-connected components, each with
     its `walk_paths` as `Stroke.paths`, from one reading of every
     pixel's ring."""
-    on, ink, width = _padded(image)
-    offsets = _offsets(width)
-    codes = _ring_codes(np.frombuffer(on, dtype=np.uint8), ink, offsets)
-    ys, xs = np.divmod(ink, width)
-    pixels = list(zip((xs - 1).tolist(), (ys - 1).tolist()))
     strokes = []
-    for comp, paths in _labelled_walks(ink.tolist(), codes.tolist(), pixels, offsets.tolist()):
+    for comp, paths in _labelled_walks(*_index_raster(image)):
         stroke = Stroke(tuple(comp))
         stroke.__dict__["paths"] = paths  # the cached_property's slot
         strokes.append(stroke)
@@ -409,9 +406,8 @@ def walk_paths(pixels) -> list[list[tuple[int, int]]]:
     place is nearest the last step's (the least turn), ties to the
     row-major first.  Every pixel is taken exactly once.
     """
-    keys, codes, pixels, offsets = _index_pixels(pixels)
-    pixel = dict(zip(keys, pixels)).__getitem__
-    return [list(map(pixel, path)) for path in _walk(keys, dict(zip(keys, codes)), offsets)]
+    keys, code, pixel, offsets = _index_pixels(pixels)
+    return [list(map(pixel.__getitem__, path)) for path in _walk(keys, code, offsets)]
 
 
 # ---------------------------------------------------------------------------

@@ -323,10 +323,9 @@ def test_ring_codes_match_a_per_pixel_neighbour_loop():
 
 
 def _far_apart_sets(rng):
-    """Small random clusters at negative offsets and 10**9 px apart, in
-    the same rows, the same columns and neither."""
-    far = 10**9
-    for _ in range(12):
+    """Small random clusters at negative offsets and 10**9 or 10**20 px
+    apart (past int64), in the same rows, the same columns and neither."""
+    for far in [10**9] * 12 + [10**20] * 4:
         clusters = []
         corners = [(0, 0), (far, 0), (-far, 0), (0, far), (0, -far), (far, -far)]
         for cx, cy in rng.sample(corners, 3):
@@ -338,15 +337,22 @@ def _far_apart_sets(rng):
         yield clusters
 
 
+def _reference_components_far(cluster):
+    """`reference_components` of a cluster moved next to the origin and back."""
+    x0, y0 = min(cluster)
+    near = {(x - x0, y - y0) for x, y in cluster}
+    return [[(x + x0, y + y0) for x, y in comp] for comp in reference_components(near)]
+
+
 def test_components_and_walks_of_pixels_far_apart():
     """No bounding-box grid could hold these sets: the clusters are
     labelled one by one by the reference, whose components cannot join
-    across 10**9 px."""
+    across 10**9 px or more."""
     rng = random.Random(5)
     for clusters in _far_apart_sets(rng):
         pixels = set().union(*clusters)
         expected = sorted(
-            (comp for c in clusters for comp in reference_components(c)),
+            (comp for c in clusters for comp in _reference_components_far(c)),
             key=lambda comp: rowmajor(comp[0]),
         )
         assert components(pixels) == expected

@@ -4,11 +4,11 @@
 
 BASE and HEAD are directories holding checkouts of the parent commit and
 of the change.  Each pair runs `python3 bench/run.py --workload W --seed
-S --seconds T --trace 0` once in each checkout, from that checkout's own
-directory and with its own unchanged `bench/`.  Odd pairs (the first,
-third, ...) run BASE first, even pairs HEAD first.  The end-to-end
-metrics, whether each is better higher or lower, and the default run
-length come from HEAD's `BENCHMARK.json`.
+S --trace 0` once in each checkout, from that checkout's own directory
+and with its own unchanged `bench/`.  Odd pairs (the first, third, ...)
+run BASE first, even pairs HEAD first.  The end-to-end metrics, whether
+each is better higher or lower, and the run length (`run_seconds`) come
+from HEAD's `BENCHMARK.json`.
 
 It prints one line per pair as it goes, then for each metric each side's
 median and inclusive quartiles (`statistics.quantiles(n=4,
@@ -79,11 +79,10 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
     args = ap.parse_args(argv)
     spec = json.loads((args.head / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     checkouts = {"parent": args.base, "change": args.head}
 
     pairs, correct, failed = [], True, dict.fromkeys(SIDES, 0)
