@@ -228,8 +228,6 @@ def extract_common_code(codes, sizes, t: MatchTolerances) -> SubWordCode:
     if not codes or len(codes) != len(sizes):
         raise ValueError("need one code per render size")
     normed = [scale_subword(c, 1.0 / s) for c, s in zip(codes, sizes)]
-    if len(normed) == 1:
-        return normed[0]
     found = _longest_common_window(normed, t)
     if found is None:
         raise EmptyCommonError("no common subsequence across the inputs")
@@ -264,7 +262,7 @@ def build_codebook(
     """
     font = font or os.path.basename(os.path.normpath(str(corpus_dir)))
     book = Codebook(font=font, tolerances=t)
-    spec_codes: list[tuple[SubWordSpec, SubWordCode]] = []
+    by_target: dict[tuple[str, str], list[SubWordCode]] = {}
     for position in Position:
         pos_dir = os.path.join(str(corpus_dir), position.value)
         if not os.path.isdir(pos_dir):
@@ -294,11 +292,8 @@ def build_codebook(
             except EmptyCommonError:
                 book.flagged.append((spec.target, position.value))
                 continue
-            spec_codes.append((spec, common))
+            by_target.setdefault((spec.target, position.value), []).append(common)
     # isolate one code per (glyph, position) across the containing specs
-    by_target: dict[tuple[str, str], list[SubWordCode]] = {}
-    for spec, code in spec_codes:
-        by_target.setdefault((spec.target, spec.position.value), []).append(code)
     for (glyph, pos), codes in sorted(by_target.items()):
         found = _longest_common_window(codes, t)
         if found is None:

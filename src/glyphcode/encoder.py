@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import astuple, dataclass, fields, replace
-from itertools import chain, count
+from itertools import chain, combinations, count
 from operator import itemgetter
 
 import numpy as np
@@ -274,8 +274,8 @@ _FIRST_BLOCK = 4
 
 
 def _join(a, b):
-    """Two runs (pixels, moments, float pixels) as one."""
-    return a[0] + b[0], a[1] + b[1], np.concatenate((a[2], b[2]))
+    """Two runs (pixels, moments) as one."""
+    return a[0] + b[0], a[1] + b[1]
 
 
 def _merged_arc(a, b, cfg: EncoderConfig):
@@ -283,7 +283,7 @@ def _merged_arc(a, b, cfg: EncoderConfig):
     within `e_res`; otherwise None."""
     union = _join(a, b)
     coef = fit_ellipse([union[1]])[0]
-    if coef is None or sampson_residual(union[2], coef) > cfg.e_res:
+    if coef is None or sampson_residual(union[0], coef) > cfg.e_res:
         return None
     code = _arc_from_run(union[0], coef)
     return None if code is None else (union, code)
@@ -306,10 +306,7 @@ def _rejoin_arcs(arcs, cfg: EncoderConfig) -> None:
     start = 0
     while True:
         n = len(arcs)
-        pairs = chain(
-            ((x, start) for x in range(start)),
-            ((a, b) for a in range(start, n) for b in range(a + 1, n)),
-        )
+        pairs = chain(((x, start) for x in range(start)), combinations(range(start, n), 2))
         for ia, ib in pairs:
             key = (serials[ia], serials[ib])
             if key not in failed:
@@ -340,11 +337,12 @@ def cluster_ellipses(residual, cfg: EncoderConfig):
     the one-step loop; the candidates past the stop are the only extra
     work, fewer than the block that holds it.
 
-    Runs too small to host an ellipse are merged into an adjacent
-    accepted run when one exists, otherwise returned as leftover groups
-    for the caller to degrade into points.  A run carries its pixels,
-    their moments about the component's bounding-box corner and their
-    float coordinates, so joining two runs is one addition.
+    A run that cannot host an ellipse is joined to the accepted run of
+    its component whose centroid is nearest its own, if that union still
+    codes an arc, and is otherwise returned as a leftover group for the
+    caller to degrade into a point.  A run carries its pixels and their
+    moments about the component's bounding-box corner, so joining two
+    runs is one addition.
 
     Returns (arcs, leftovers): arcs as (EllipseArcCode, pixel set) pairs.
     """
@@ -361,7 +359,7 @@ def cluster_ellipses(residual, cfg: EncoderConfig):
             n = len(path)
             while i < n:
                 if n - i < 5:
-                    comp_small.append((path[i:], rows[n] - rows[i], pts[i:]))
+                    comp_small.append((path[i:], rows[n] - rows[i]))
                     break
                 j = i + 5
                 coef = None  # the fit of path[i:j] once the run has grown
@@ -384,7 +382,7 @@ def cluster_ellipses(residual, cfg: EncoderConfig):
                     size *= 2
                 if j == i + 5:
                     coef = fit_ellipse([rows[j] - rows[i]])[0]
-                run = (path[i:j], rows[j] - rows[i], pts[i:j])
+                run = (path[i:j], rows[j] - rows[i])
                 code = _arc_from_run(run[0], coef)
                 if code is not None:
                     comp_arcs.append((run, code))
@@ -414,13 +412,11 @@ def cluster_ellipses(residual, cfg: EncoderConfig):
 
 def encode_stroke(stroke: Stroke, cfg: EncoderConfig) -> SubWordCode:
     """Code one stroke as an ordered primitive sequence with directions."""
-    if len(stroke.pixels) <= cfg.dot_max:
-        cx, cy = stroke.centroid
-        return SubWordCode(
-            (CodedElement(PointCode(cx, cy), (FREEMAN_NULL,) * 3, (cx, cy)),)
-        )
-    segments, residual = extract_lines(stroke, cfg)
-    arcs, leftovers = cluster_ellipses(residual, cfg)
+    if len(stroke.pixels) <= cfg.dot_max:  # a dot: one leftover group
+        segments, arcs, leftovers = [], [], [stroke.pixels]
+    else:
+        segments, residual = extract_lines(stroke, cfg)
+        arcs, leftovers = cluster_ellipses(residual, cfg)
     primitives = [(code, pixel_centroid(pixels)) for code, pixels in segments + arcs]
     primitives += [(PointCode(*c), c) for c in map(pixel_centroid, leftovers)]
     # same ordering rule as strokes: left-to-right, top-to-bottom

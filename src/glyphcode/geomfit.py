@@ -114,7 +114,9 @@ def _as_points(pixels) -> np.ndarray:
 
 def _monomials(points, degree, origin) -> list[list]:
     """Columns u^i v^j over the points, u = x - ox and v = y - oy, for
-    i + j <= degree: by degree, then by falling power of u."""
+    i + j <= degree (2 or 4): by degree, then by falling power of u."""
+    if degree not in (2, 4):
+        raise ValueError(f"moments have degree 2 or 4, not {degree}")
     ox, oy = origin
     points = list(points)
     u = [p[0] - ox for p in points]
@@ -155,15 +157,16 @@ class Moments:
         cols = _monomials(points, degree, origin)
         return [cls(s, origin) for s in zip(*(accumulate(c, initial=0) for c in cols))]
 
-    def __add__(self, other: Moments) -> Moments:
+    def _combine(self, other: Moments, op) -> Moments:
         if self.origin != other.origin or len(self.sums) != len(other.sums):
             raise ValueError("moments differ in origin or degree")
-        return Moments(tuple(map(add, self.sums, other.sums)), self.origin)
+        return Moments(tuple(map(op, self.sums, other.sums)), self.origin)
+
+    def __add__(self, other: Moments) -> Moments:
+        return self._combine(other, add)
 
     def __sub__(self, other: Moments) -> Moments:
-        if self.origin != other.origin or len(self.sums) != len(other.sums):
-            raise ValueError("moments differ in origin or degree")
-        return Moments(tuple(map(sub, self.sums, other.sums)), self.origin)
+        return self._combine(other, sub)
 
     def centroid(self) -> tuple[float, float]:
         n, su, sv = self.sums[:3]

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import islice
 from operator import itemgetter
 
@@ -77,9 +76,11 @@ class BinaryRaster:
 
     @classmethod
     def from_pixels(cls, pixels, width: int, height: int) -> "BinaryRaster":
+        pixels = list(pixels)
+        if outside := [(x, y) for x, y in pixels if not (0 <= x < width and 0 <= y < height)]:
+            raise ValueError(f"pixels {outside} are outside the {width}x{height} raster")
         bits = np.zeros((height, width), dtype=bool)
-        for x, y in pixels:
-            bits[y, x] = True
+        bits[[y for _, y in pixels], [x for x, _ in pixels]] = True
         return cls(bits)
 
 
@@ -91,9 +92,12 @@ def pixel_centroid(pixels) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class Stroke:
-    """One 8-connected set of skeleton pixels (a sub-word or dot)."""
+    """One 8-connected set of skeleton pixels (a sub-word or dot).  Its
+    `paths` are `walk_paths(pixels)`, walked here unless given (as
+    `segment` does); they take no part in equality, hashing or repr."""
 
     pixels: tuple[tuple[int, int], ...]
+    paths: list[list[tuple[int, int]]] | None = field(default=None, compare=False, repr=False)
     centroid: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
@@ -103,15 +107,11 @@ class Stroke:
         ordered = tuple(sorted(self.pixels, key=rowmajor))
         object.__setattr__(self, "pixels", ordered)
         object.__setattr__(self, "centroid", pixel_centroid(ordered))
+        if self.paths is None:
+            object.__setattr__(self, "paths", walk_paths(ordered))
 
     def __len__(self) -> int:
         return len(self.pixels)
-
-    @cached_property
-    def paths(self) -> list[list[tuple[int, int]]]:
-        """`walk_paths(self.pixels)`; `segment` fills it in as it labels.
-        It takes no part in equality."""
-        return walk_paths(self.pixels)
 
 
 def binarize(image: GrayRaster, threshold: int = 128) -> BinaryRaster:
@@ -386,15 +386,10 @@ def component_paths(pixels) -> list[tuple[list[tuple[int, int]], list[list[tuple
 
 
 def segment(image: BinaryRaster) -> list[Stroke]:
-    """Split the foreground into its 8-connected components, each with
-    its `walk_paths` as `Stroke.paths`, from one reading of every
-    pixel's ring."""
-    strokes = []
-    for comp, paths in _labelled_walks(*_index_raster(image)):
-        stroke = Stroke(tuple(comp))
-        stroke.__dict__["paths"] = paths  # the cached_property's slot
-        strokes.append(stroke)
-    return strokes
+    """Split the foreground into its 8-connected components as strokes,
+    each given its `walk_paths` as `Stroke.paths`: labels and walks come
+    from one reading of every pixel's ring."""
+    return [Stroke(tuple(comp), paths) for comp, paths in _labelled_walks(*_index_raster(image))]
 
 
 def walk_paths(pixels) -> list[list[tuple[int, int]]]:

@@ -413,9 +413,12 @@ def _join(a, b):
     return a[0] + b[0], a[1] + b[1], np.concatenate((a[2], b[2]))
 
 
-def reference_cluster_ellipses(residual, cfg):
+def reference_cluster_ellipses(residual, cfg, attempts=None):
     """`cluster_ellipses` growing each arc run one pixel per step, with a
-    fit and a Sampson test of its own for every step."""
+    fit and a Sampson test of its own for every step.  The re-join
+    restarts at the first pair after each merge and skips the pairs that
+    have failed; `attempts`, when given, receives the pixels of each
+    union it tries, in order."""
     arcs, leftovers = [], []
     for comp in components(residual):
         origin = (min(x for x, _ in comp), min(y for _, y in comp))
@@ -445,12 +448,18 @@ def reference_cluster_ellipses(residual, cfg):
                 else:
                     comp_small.append(run)
                 i = j
+        failed = {}  # failed pairs by ids, holding the runs so no id is reused
         merged_any = True
         while merged_any and len(comp_arcs) > 1:
             merged_any = False
             for ia in range(len(comp_arcs)):
                 for ib in range(ia + 1, len(comp_arcs)):
-                    union = _join(comp_arcs[ia][0], comp_arcs[ib][0])
+                    pair = comp_arcs[ia][0], comp_arcs[ib][0]
+                    if tuple(map(id, pair)) in failed:
+                        continue
+                    union = _join(*pair)
+                    if attempts is not None:
+                        attempts.append(union[0])
                     coef = _fit_or_none(union[1])
                     if (
                         coef is not None
@@ -461,6 +470,7 @@ def reference_cluster_ellipses(residual, cfg):
                         del comp_arcs[ib]
                         merged_any = True
                         break
+                    failed[tuple(map(id, pair))] = pair
                 if merged_any:
                     break
         for small in comp_small:

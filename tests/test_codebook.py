@@ -117,6 +117,11 @@ def _seq(*codes):
     return SubWordCode(tuple(els))
 
 
+def test_common_code_of_one_input_is_that_input_normalized():
+    code = _seq(LineSegmentCode(5, 90, 40), EllipseArcCode(3, 4, 6, 2, 10, 0, 90), PointCode(1, 2))
+    assert extract_common_code([code], [50], TOL) == scale_subword(code, 1 / 50)
+
+
 def test_common_code_identical_inputs():
     code = _seq(LineSegmentCode(5, 90, 40))
     out = extract_common_code([code, code], [1, 1], TOL)

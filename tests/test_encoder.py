@@ -569,6 +569,38 @@ def test_arc_rejoin_never_refits_a_failed_pair(make, monkeypatch):
     assert len(calls) <= 4000
 
 
+def _noise70_raster():
+    return np.random.RandomState(13).rand(70, 70) < 0.5
+
+
+@pytest.mark.parametrize(
+    "make", (_noise_raster, _grid_raster, _noise70_raster), ids=("noise", "grid", "noise70")
+)
+def test_arc_rejoin_tries_the_unions_of_the_restarting_scan(make, monkeypatch):
+    """After a merge into index ia the re-join tries (x, ia), x < ia, and
+    resumes at (ia, ia + 1).  That is the order of a scan restarted at the
+    first pair that skips failed pairs only because every earlier pair
+    without the union has already failed; here both try the same unions
+    in the same order.  Only on the 70-px raster does a resumed scan meet
+    failed pairs (323 of them), so it alone shows that none is refitted."""
+    cfg = EncoderConfig(dd=1.0, l_min=22.0, e_res=0.5)
+    image = BinaryRaster(make())
+    want = []
+    for stroke in order_strokes(segment(thin(image))):
+        if len(stroke) > cfg.dot_max:
+            reference_cluster_ellipses(extract_lines(stroke, cfg)[1], cfg, want)
+    got = []
+    merged_arc = encoder._merged_arc
+
+    def recorded(a, b, cfg):
+        got.append(a[0] + b[0])
+        return merged_arc(a, b, cfg)
+
+    monkeypatch.setattr(encoder, "_merged_arc", recorded)
+    encode_word(image, cfg)
+    assert len(got) > 1000 and got == want
+
+
 def test_arc_stage_fitting_work_on_the_demo_glyphs(monkeypatch):
     """The demo glyphs at 60 and 120 px make 94 ellipse-fit calls over 830
     candidate runs and 80 Sampson calls. Folding the 5-pixel seed into the

@@ -451,6 +451,17 @@ def test_moments_prefix_slices_and_sums_are_exact():
         fit_ellipse(Moments.of(run, 2))
 
 
+@pytest.mark.parametrize("degree", (0, 1, 3, 5))
+def test_moments_have_degree_two_or_four(degree):
+    """Any other degree once gave the degree-2 sums, which `fit_line`
+    read as a line's."""
+    run = [(0, 0), (1, 2), (3, 1)]
+    with pytest.raises(ValueError, match="degree"):
+        Moments.of(run, degree)
+    with pytest.raises(ValueError, match="degree"):
+        Moments.prefix(run, degree)
+
+
 def test_central_sums_and_line_alpha_survive_integer_translation():
     rng = random.Random(13)
     for run in _runs(100):

@@ -407,6 +407,30 @@ def test_centroid_examples():
     assert Stroke(((0, 0), (0, 2), (2, 0), (2, 2))).centroid == (1.0, 1.0)
 
 
+def test_stroke_paths_take_no_part_in_equality_hash_or_repr():
+    pixels = ((2, 1), (0, 0), (1, 1))
+    given = Stroke(pixels, [[(2, 1), (1, 1), (0, 0)]])
+    walked = Stroke(pixels)
+    assert walked.paths == walk_paths(pixels) != given.paths
+    assert given == walked and hash(given) == hash(walked) and repr(given) == repr(walked)
+
+
+def test_from_pixels_sets_exactly_the_given_pixels():
+    image = BinaryRaster.from_pixels(iter([(2, 0), (0, 2), (2, 0)]), 3, 4)
+    assert image.bits.shape == (4, 3) and image.foreground() == [(2, 0), (0, 2)]
+    assert not BinaryRaster.from_pixels([], 2, 2).bits.any()
+
+
+@pytest.mark.parametrize(
+    "pixels", ([(-1, 0)], [(0, -1)], [(3, 0)], [(0, 3)], [(1, 1), (-1, 0), (0, -1)])
+)
+def test_from_pixels_rejects_pixels_outside_the_raster(pixels):
+    """Negative coordinates once wrapped to the far edge, and pixels past
+    it raised a bare IndexError."""
+    with pytest.raises(ValueError, match=re.escape(str(pixels[-1]))):
+        BinaryRaster.from_pixels(pixels, 3, 3)
+
+
 def test_stroke_empty_rejected():
     with pytest.raises(ValueError):
         Stroke(())
