@@ -31,7 +31,7 @@ from .encoder import (
     subword_from_obj,
     subword_to_obj,
 )
-from .matcher import MatchTolerances, sequence_equiv, subset_alignment
+from .matcher import MatchTolerances, element_subset, sequence_equiv, subset_alignment
 from .raster import RasterFormatError, load_image
 
 __all__ = [
@@ -344,15 +344,19 @@ def _windows(code: SubWordCode, subwords, t: MatchTolerances):
     `code` aligns anchored at the offset, in ascending order.
 
     `subwords` holds (index, elements, covered offsets) triples, as
-    `_open_subwords` makes them.  Every uncovered offset up to the last
-    one the code fits from goes to `subset_alignment`, which rejects most
-    of them on the anchored first element alone.
+    `_open_subwords` makes them.  Each uncovered offset up to the last
+    one the code fits from is screened on its anchored first element:
+    only where the code's first element is an element subset of the
+    sub-word's element at the offset does `subset_alignment` search, so
+    most windows are rejected without a call.  The empty code has nothing
+    to screen and aligns at every offset.
     """
     telems = code.elements
     n = len(telems)
+    first = telems[0] if n else None
     for si, delems, done in subwords:
         for j in range(len(delems) - n + 1):
-            if j not in done:
+            if j not in done and (first is None or element_subset(first, delems[j], t)):
                 align = subset_alignment(telems, delems, t, anchor=j)
                 if align is not None:
                     yield si, j, align

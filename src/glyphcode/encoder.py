@@ -281,11 +281,15 @@ def _join(a, b):
 def _merged_arc(a, b, cfg: EncoderConfig):
     """The union of two runs with its arc code, if one ellipse fits it
     within `e_res`; otherwise None."""
-    union = _join(a, b)
-    coef = fit_ellipse([union[1]])[0]
-    if coef is None or sampson_residual(union[0], coef) > cfg.e_res:
+    union = pixels, moments = _join(a, b)
+    coef = fit_ellipse([moments])[0]
+    if coef is None:
         return None
-    code = _arc_from_run(union[0], coef)
+    # the union's float points in one flat pass, not one tuple at a time
+    pts = np.fromiter(chain.from_iterable(pixels), float, 2 * len(pixels)).reshape(-1, 2)
+    if sampson_residual(pts, coef) > cfg.e_res:
+        return None
+    code = _arc_from_run(pixels, coef)
     return None if code is None else (union, code)
 
 

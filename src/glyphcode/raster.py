@@ -211,9 +211,9 @@ def _offsets(width: int) -> np.ndarray:
 def _padded(image: BinaryRaster) -> tuple[bytearray, np.ndarray, int]:
     """The raster as a 0/1 byte grid with a one-pixel background margin,
     the flat indices of its ink in row-major order, and the grid's width."""
-    ys, xs = np.nonzero(image.bits)
+    flat = np.flatnonzero(image.bits)  # y * w + x; pads to (y + 1) * width + x + 1
     width = image.width + 2
-    ink = (ys + 1) * width + xs + 1
+    ink = flat + 2 * (flat // image.width) + width + 1
     on = bytearray((image.height + 2) * width)
     np.frombuffer(on, dtype=np.uint8)[ink] = 1
     return on, ink, width

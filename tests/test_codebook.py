@@ -39,6 +39,7 @@ from glyphcode import (
 )
 from glyphcode.codebook import CharacterCode, SubWordSpec
 from glyphcode.encoder import scale_subword
+from glyphcode.matcher import element_subset
 from glyphcode.raster import write_pbm
 from glyphcode.render import DEMO_GLYPHS, render_glyph
 
@@ -344,12 +345,9 @@ def test_recognize_no_match(demo_book):
     assert recognize(WordCode(()), demo_book, TOL) == []
 
 
-def test_recognize_matches_the_plain_greedy_cover(rng):
-    """Random words against books of subsequences of their own sub-words:
-    `recognize` places what the reference reads from its docstring, on
-    cases where some anchors' earliest alignments hit covered elements."""
+def _random_recognize_cases(rng):
+    """300 random words, each with a book of subsequences of its own sub-words."""
     keys = [(g, p) for g in "ab" for p in Position]
-    skipped = 0
     for _ in range(300):
         subwords = [
             tuple(random_element(rng) for _ in range(rng.randint(1, 7)))
@@ -362,10 +360,40 @@ def test_recognize_matches_the_plain_greedy_cover(rng):
             picked = sorted(rng.sample(range(len(s)), rng.randint(1, len(s))))
             code = SubWordCode(tuple(s[i] for i in picked))
             book.entries[(glyph, position.value)] = CharacterCode(glyph, position, code)
+        yield word, book
+
+
+def test_recognize_matches_the_plain_greedy_cover(rng):
+    """Random words against books of subsequences of their own sub-words:
+    `recognize` places what the reference reads from its docstring, on
+    cases where some anchors' earliest alignments hit covered elements."""
+    skipped = 0
+    for word, book in _random_recognize_cases(rng):
         expected, passed = reference_recognize(word, book, PIXEL_TOLERANCES)
         assert recognize(word, book, PIXEL_TOLERANCES) == expected
         skipped += passed
     assert skipped > 0
+
+
+def test_recognize_searches_only_windows_its_first_element_fits(rng, monkeypatch):
+    """`recognize` screens each window on the code's first element before
+    the alignment search: every `subset_alignment` call it makes has an
+    anchored first element that passes `element_subset`, and the placements
+    stay those of the plain greedy cover."""
+    import glyphcode.codebook as codebook
+
+    search = codebook.subset_alignment
+    anchored = []
+
+    def traced(cseq, dseq, t, anchor=None):
+        anchored.append(element_subset(cseq[0], dseq[anchor], t))
+        return search(cseq, dseq, t, anchor=anchor)
+
+    monkeypatch.setattr(codebook, "subset_alignment", traced)
+    for word, book in _random_recognize_cases(rng):
+        expected, _ = reference_recognize(word, book, PIXEL_TOLERANCES)
+        assert recognize(word, book, PIXEL_TOLERANCES) == expected
+    assert anchored and all(anchored)
 
 
 def test_codebook_calls_the_names_the_benchmark_traces(monkeypatch, tmp_path):

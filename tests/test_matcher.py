@@ -405,6 +405,11 @@ def test_find_matches_absent():
     assert find_matches(word, target, T) == []
 
 
+def test_find_matches_places_the_empty_code_at_every_offset():
+    word = word_of(seq(el(), el(PointCode(0, 0))), seq())
+    assert find_matches(word, SubWordCode(()), T) == [(0, 0), (0, 1), (0, 2), (1, 0)]
+
+
 def test_find_matches_planted_positions():
     filler = el(PointCode(0, 0))
     target_el = el(LineSegmentCode(0, 45, 8), (9, 9, 9))

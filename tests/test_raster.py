@@ -310,6 +310,25 @@ def _coin_flip_rasters():
         yield BinaryRaster(bits)
 
 
+def test_padded_matches_the_two_dimensional_formula():
+    """`_padded` reads the ink from flat indices; the grid and ink must be
+    the ones the 2-D (y + 1) * width + x + 1 formula gives, on thin and
+    flat rasters, empty and all-ink ones included."""
+    state = np.random.RandomState(29)
+    shapes = [(1, 1), (1, 17), (17, 1), (5, 9), (9, 5), (40, 40), (133, 499)]
+    for h, w in shapes:
+        fills = [np.zeros((h, w), bool), np.ones((h, w), bool)]
+        fills += [state.rand(h, w) < p for p in (0.05, 0.5, 0.95)]
+        for bits in fills:
+            on, ink, width = _padded(BinaryRaster(bits))
+            ys, xs = np.nonzero(bits)
+            assert width == w + 2
+            assert ink.tolist() == ((ys + 1) * width + xs + 1).tolist()
+            grid = np.zeros((h + 2, width), np.uint8)
+            grid[1:-1, 1:-1] = bits
+            assert bytes(on) == grid.tobytes()
+
+
 def test_ring_codes_match_a_per_pixel_neighbour_loop():
     for image in _coin_flip_rasters():
         on, ink, width = _padded(image)
@@ -372,7 +391,7 @@ def test_segment_gives_each_stroke_its_walk():
         strokes = segment(image)
         for stroke in strokes:
             assert stroke.paths == walk_paths(stroke.pixels)
-            built = Stroke(stroke.pixels[::-1])  # walked lazily, equal all the same
+            built = Stroke(stroke.pixels[::-1])  # walked when made, equal all the same
             assert built == stroke and built.paths == stroke.paths
         pixels = image.foreground()
         assert [(list(s.pixels), s.paths) for s in strokes] == component_paths(pixels)
