@@ -24,6 +24,7 @@ from .geomfit import (
     LineSegmentCode,
     Moments,
     NonEllipseError,
+    NumericalFitError,
     arc_angles,
     conic_to_geometric,
     fit_ellipse,
@@ -269,8 +270,12 @@ def _arc_from_run(run, coef: EllipseCoefficients | None) -> EllipseArcCode | Non
     return EllipseArcCode(geo[0], geo[1], geo[2], geo[3], phi, beta, gamma)
 
 
-# candidate ends in a run's first growth block; each later block doubles
-_FIRST_BLOCK = 4
+def _fit(moments) -> EllipseCoefficients | None:
+    """The ellipse fitted to the moments, or None where there is none."""
+    try:
+        return fit_ellipse(moments)
+    except (DegenerateInputError, NumericalFitError):
+        return None
 
 
 def _join(a, b):
@@ -282,7 +287,7 @@ def _merged_arc(a, b, cfg: EncoderConfig):
     """The union of two runs with its arc code, if one ellipse fits it
     within `e_res`; otherwise None."""
     union = pixels, moments = _join(a, b)
-    coef = fit_ellipse([moments])[0]
+    coef = _fit(moments)
     if coef is None:
         return None
     # the union's float points in one flat pass, not one tuple at a time
@@ -330,16 +335,15 @@ def cluster_ellipses(residual, cfg: EncoderConfig):
     The residual is split into 8-connected components, each walked as
     `raster.walk_paths` does (`raster.component_paths` reads each pixel's
     ring once for both); along a path, runs seed on 5 pixels and grow
-    greedily, one pixel at a time, while the gradient-weighted fit
-    residual stays within `e_res`; a run that cannot be fitted yet keeps
-    growing.  The growth is evaluated in blocks of candidate ends,
-    `_FIRST_BLOCK` at first and doubling: one `fit_ellipse` call fits
-    every candidate of a block with one stacked eigensolve, one
-    `sampson_residual` call measures each on its own prefix, and the run
-    stops before the first candidate over `e_res`.  Each candidate reads
-    exactly the numbers a one-pixel step would, so the runs are those of
-    the one-step loop; the candidates past the stop are the only extra
-    work, fewer than the block that holds it.
+    while the gradient-weighted fit residual stays within `e_res`.  The
+    stop is found by exponential search (Bentley & Yao 1976), about
+    2 log2 L fits for a run of L pixels: from the seed's end, probe ends
+    1, 2, 4, 8, ... pixels further, each step counted from the last end
+    within `e_res`, until a fitted end is over it (or the path ends);
+    then bisect between the last end within and that one.  An end with
+    no fit yet counts as within.  Sampson residuals are not monotone
+    along a run, so the stop can differ from that of one-pixel steps;
+    the re-join below merges pieces that still fit one ellipse.
 
     A run that cannot host an ellipse is joined to the accepted run of
     its component whose centroid is nearest its own, if that union still
@@ -365,27 +369,18 @@ def cluster_ellipses(residual, cfg: EncoderConfig):
                 if n - i < 5:
                     comp_small.append((path[i:], rows[n] - rows[i]))
                     break
-                j = i + 5
-                coef = None  # the fit of path[i:j] once the run has grown
-                size = _FIRST_BLOCK
-                while j < n:
-                    ends = range(j + 1, min(j + size, n) + 1)
-                    fits = fit_ellipse([rows[e] - rows[i] for e in ends])
-                    res = sampson_residual(pts[i : ends[-1]], fits)
-                    # the first fitted run over e_res stops the growth; a run
-                    # that cannot be fitted yet keeps growing
-                    over = [
-                        k for k, r in enumerate(res) if r is not None and r > cfg.e_res
-                    ]
-                    grown = over[0] if over else len(fits)
-                    if grown:
-                        coef = fits[grown - 1]
-                    j += grown
-                    if over:
-                        break
-                    size *= 2
+                # j is the last end within e_res, hi the first end over it
+                # (n + 1 until one is found); step 0 once bisecting
+                j, hi, step, coef = i + 5, n + 1, 1, None
+                while hi - j > 1:
+                    e = min(j + step, n) if step else (j + hi) // 2
+                    fit = _fit(rows[e] - rows[i])
+                    if fit is not None and sampson_residual(pts[i:e], fit) > cfg.e_res:
+                        hi, step = e, 0
+                    else:
+                        j, coef, step = e, fit, 2 * step
                 if j == i + 5:
-                    coef = fit_ellipse([rows[j] - rows[i]])[0]
+                    coef = _fit(rows[j] - rows[i])
                 run = (path[i:j], rows[j] - rows[i])
                 code = _arc_from_run(run[0], coef)
                 if code is not None:
@@ -405,8 +400,7 @@ def cluster_ellipses(residual, cfg: EncoderConfig):
                     key=lambda k: math.dist(sc, pixel_centroid(comp_arcs[k][0][0])),
                 )
                 merged = _join(comp_arcs[nearest][0], small)
-                coef = fit_ellipse([merged[1]])[0]
-                if (code := _arc_from_run(merged[0], coef)) is not None:
+                if (code := _arc_from_run(merged[0], _fit(merged[1]))) is not None:
                     comp_arcs[nearest] = (merged, code)
                     continue
             leftovers.append(frozenset(small[0]))

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
-from operator import add, attrgetter, mul, sub
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -278,54 +278,32 @@ def segment_extent(pixels, line: PolarLine) -> tuple[float, float]:
     return float(t.min()), float(t.max())
 
 
-def fit_ellipse(pixels):
+def fit_ellipse(pixels) -> EllipseCoefficients:
     """Direct least-squares ellipse fit (Halir-Flusser split form).
 
-    `pixels` is a point sequence or degree-4 `Moments`; a single fit
-    returns its `EllipseCoefficients` or raises `DegenerateInputError` or
-    `NumericalFitError`.  `pixels` may also be a block: a list of degree-4
-    `Moments`, for which the result is a list holding each member's
-    coefficients, or None where the member has no fit.
+    `pixels` is a point sequence or degree-4 `Moments`.  Raises
+    `DegenerateInputError` for fewer than 5 distinct points or collinear
+    ones, and `NumericalFitError` when no eigenvector meets the ellipse
+    constraint.
 
     Minimizes the summed squared algebraic distance subject to the ellipse
     constraint; the quadratic part is the eigenvector of the reduced
     scatter system with the minimal positive eigenvalue, rescaled so that
     4ac - b^2 = 1.  The system is set up about the centroid, where the
     linear block S3 is diag([[Sxx, Sxy], [Sxy, Syy]], n); integer pixels
-    give the reduced matrix exactly, rounded once to float.  A block's
-    matrices go to one stacked `np.linalg.eig`, which runs LAPACK on each
-    matrix as a call of its own would, so a member fits bit for bit as
-    it does alone.
+    give the reduced matrix exactly, rounded once to float.
     """
-    if isinstance(pixels, list) and pixels and isinstance(pixels[0], Moments):
-        return _fit_block(
-            [_reduced_system(m) if m.sums[0] >= 5 else None for m in pixels]
-        )
     system = _reduced_system(_moments(pixels, 4, 5))
     if system is None:
         raise DegenerateInputError("pixels are collinear")
-    (fit,) = _fit_block([system])
+    mat, setup = system
+    eigvals, eigvecs = np.linalg.eig(np.array(mat))
+    fit = _conic_from_eigen(
+        setup, eigvals.real.tolist(), eigvals.imag.tolist(), eigvecs.real.T.tolist()
+    )
     if fit is None:
         raise NumericalFitError("no eigenvector satisfies the ellipse constraint")
     return fit
-
-
-def _fit_block(systems) -> list:
-    """The `EllipseCoefficients` of each reduced system, None where the
-    system is None or no eigenvector meets the constraint."""
-    fits = [None] * len(systems)
-    solvable = [k for k, system in enumerate(systems) if system is not None]
-    if not solvable:
-        return fits
-    eigvals, eigvecs = np.linalg.eig(np.array([systems[k][0] for k in solvable]))
-    for k, lams, imags, vecs in zip(
-        solvable,
-        eigvals.real.tolist(),
-        eigvals.imag.tolist(),
-        eigvecs.real.transpose(0, 2, 1).tolist(),  # rows are eigenvectors
-    ):
-        fits[k] = _conic_from_eigen(systems[k][1], lams, imags, vecs)
-    return fits
 
 
 def _reduced_system(m: Moments):
@@ -410,42 +388,22 @@ def _conic_from_eigen(setup, lams, imags, vecs) -> EllipseCoefficients | None:
     )
 
 
-_COEFFICIENTS = attrgetter("a", "b", "c", "d", "e", "f")
-
-
-def sampson_residual(pixels, coef):
+def sampson_residual(pixels, coef: EllipseCoefficients) -> float:
     """Mean squared gradient-weighted algebraic distance (approx. px^2).
 
     F / |grad F| approximates the geometric point-to-curve distance and is
-    scale-invariant, unlike the raw algebraic distance.  `coef` may also
-    be a block: a list of K coefficients (or None), member k measured on
-    the first len(pixels) - K + 1 + k pixels, as for a run grown one pixel
-    per member.  A block is one (K, len(pixels)) pass and returns a list
-    of K residuals, None for a None member.  Each member's prefix row is
-    summed by `np.add.reduce`, as `np.mean` does, so it reads the same
-    value as alone.
+    scale-invariant, unlike the raw algebraic distance.
     """
-    block = isinstance(coef, list)
-    coefs = coef if block else [coef]
     pts = _as_points(pixels)
-    if not 0 < len(coefs) <= len(pts):
-        raise ValueError("a block needs 1 to len(pixels) members")
+    if not len(pts):
+        raise ValueError("no points to measure")
     x, y = pts[:, 0], pts[:, 1]
-    # a (K, 1) column per coefficient; a None member is the zero conic, unread
-    a, b, c, d, e, f = np.array(
-        [(0.0,) * 6 if k is None else _COEFFICIENTS(k) for k in coefs]
-    ).T[:, :, None]
+    a, b, c, d, e, f = coef.a, coef.b, coef.c, coef.d, coef.e, coef.f
     fx = a * x * x + b * x * y + c * y * y
     fx = fx + d * x + e * y + f
     gx = 2.0 * a * x + b * y + d
     gy = 2.0 * c * y + b * x + e
-    rows = fx * fx / np.maximum(gx * gx + gy * gy, 1e-12)
-    first = len(pts) - len(coefs) + 1
-    out = [
-        None if k is None else float(np.add.reduce(row[: first + i]) / (first + i))
-        for i, (k, row) in enumerate(zip(coefs, rows))
-    ]
-    return out if block else out[0]
+    return float(np.mean(fx * fx / np.maximum(gx * gx + gy * gy, 1e-12)))
 
 
 def conic_to_geometric(coef: EllipseCoefficients):

@@ -13,12 +13,12 @@ every entry for each placement, where the library walks the code lengths
 once, longest first, and prunes covered windows.
 The reference line harvesting refits the run after every grown pixel,
 where the library screens each step from the run's integer sums.  The
-reference arc clustering grows each run one pixel per step, where the
-library evaluates blocks of candidate ends at once.  The exact-fit
-references keep the plain forms of the library's exact steps (a tuple
-running sum per point, a sorted pair of normals, index loops over the
-reduced matrix, filtered lists of eigenpairs); the library must match
-them bit for bit.
+reference arc clustering finds each run's stop with a probe loop and a
+separate bisection loop, where the library folds both into one.  The
+exact-fit references keep the plain forms of the library's exact steps
+(a tuple running sum per point, a sorted pair of normals, index loops
+over the reduced matrix, filtered lists of eigenpairs); the library must
+match them bit for bit.
 """
 
 import itertools
@@ -399,7 +399,7 @@ def reference_extract_lines(stroke, cfg):
 
 
 # ---------------------------------------------------------------------------
-# reference arc clustering: one fit and one Sampson test per grown pixel
+# reference arc clustering: one fit and one Sampson test per probed end
 
 
 def _fit_or_none(m):
@@ -414,11 +414,13 @@ def _join(a, b):
 
 
 def reference_cluster_ellipses(residual, cfg, attempts=None):
-    """`cluster_ellipses` growing each arc run one pixel per step, with a
-    fit and a Sampson test of its own for every step.  The re-join
-    restarts at the first pair after each merge and skips the pairs that
-    have failed; `attempts`, when given, receives the pixels of each
-    union it tries, in order."""
+    """`cluster_ellipses` with each arc run's stop found by two plain
+    loops: probe the ends 1, 2, 4, 8, ... pixels past the last end within
+    `e_res` until a fitted end is over it, then bisect between the two.
+    An end with no fit counts as within.  The re-join restarts at the
+    first pair after each merge and skips the pairs that have failed;
+    `attempts`, when given, receives the pixels of each union it tries,
+    in order."""
     arcs, leftovers = [], []
     for comp in components(residual):
         origin = (min(x for x, _ in comp), min(y for _, y in comp))
@@ -431,14 +433,24 @@ def reference_cluster_ellipses(residual, cfg, attempts=None):
                 if n - i < 5:
                     comp_small.append((path[i:], rows[n] - rows[i], pts[i:]))
                     break
-                j = i + 5
-                coef = None
+                j = i + 5  # path[i:j] is within e_res
+                coef = over = None
+                step = 1
                 while j < n:
-                    grown = _fit_or_none(rows[j + 1] - rows[i])
-                    if grown and sampson_residual(pts[i : j + 1], grown) > cfg.e_res:
+                    end = min(j + step, n)
+                    fit = _fit_or_none(rows[end] - rows[i])
+                    if fit and sampson_residual(pts[i:end], fit) > cfg.e_res:
+                        over = end
                         break
-                    coef = grown
-                    j += 1
+                    j, coef = end, fit
+                    step *= 2
+                while over is not None and over - j > 1:
+                    mid = (j + over) // 2
+                    fit = _fit_or_none(rows[mid] - rows[i])
+                    if fit and sampson_residual(pts[i:mid], fit) > cfg.e_res:
+                        over = mid
+                    else:
+                        j, coef = mid, fit
                 if j == i + 5:
                     coef = _fit_or_none(rows[j] - rows[i])
                 run = (path[i:j], rows[j] - rows[i], pts[i:j])

@@ -36,7 +36,7 @@ from glyphcode import (
 from glyphcode import encoder, segment, thin
 from glyphcode.raster import rowmajor, walk_paths
 from glyphcode.encoder import _arc_from_run, cluster_ellipses, extract_lines
-from glyphcode.geomfit import EllipseCoefficients
+from glyphcode.geomfit import EllipseCoefficients, Moments
 from glyphcode.render import DEMO_GLYPHS, render_glyph, render_word_image
 from conftest import (
     neighbors,
@@ -515,8 +515,9 @@ def test_walk_paths_matches_reference_walk():
         assert walk_paths(pixels) == reference_walk_paths(pixels)
 
 
-def test_block_growth_matches_one_step_reference():
-    """Arc runs grown in blocks are the runs of one-pixel growth steps."""
+def test_arc_growth_matches_the_probe_and_bisect_reference():
+    """Arc runs grown by the encoder's one search loop are the runs of a
+    plain probe loop followed by a plain bisection loop."""
     rng = random.Random(31)
     lines_cfg = EncoderConfig(dd=1.0, l_min=22.0, e_res=0.5)
     residuals = [thin(random_blob(rng)).foreground() for _ in range(6)]
@@ -602,16 +603,18 @@ def test_arc_rejoin_tries_the_unions_of_the_restarting_scan(make, monkeypatch):
 
 
 def test_arc_stage_fitting_work_on_the_demo_glyphs(monkeypatch):
-    """The demo glyphs at 60 and 120 px make 94 ellipse-fit calls over 830
-    candidate runs and 80 Sampson calls. Folding the 5-pixel seed into the
-    first growth block gave the same codes from 887 members and 88 Sampson
-    calls, so more arc work shows here before it shows in timings."""
-    members, sampson = [], []
+    """The demo glyphs at 60 and 120 px make 80 ellipse fits, each of one
+    `Moments`, and 60 Sampson calls.  Growing arc runs one pixel per
+    step fitted 830 candidate ends (in 94 block calls) with 80 Sampson
+    calls, so a return to per-pixel growth shows here before it shows in
+    timings."""
+    fits, sampson = [], []
     fit_ellipse, sampson_residual = encoder.fit_ellipse, encoder.sampson_residual
 
-    def counted_fit(block):
-        members.extend(block)
-        return fit_ellipse(block)
+    def counted_fit(moments):
+        assert isinstance(moments, Moments)
+        fits.append(moments)
+        return fit_ellipse(moments)
 
     def counted_sampson(*args):
         sampson.append(None)
@@ -622,8 +625,8 @@ def test_arc_stage_fitting_work_on_the_demo_glyphs(monkeypatch):
     for name in DEMO_GLYPHS:
         for size in (60, 120):
             encode_word(render_glyph(name, size), EncoderConfig())
-    assert len(members) <= 830
-    assert len(sampson) <= 80
+    assert len(fits) <= 80
+    assert len(sampson) <= 60
 
 
 def test_line_stage_fitting_work_on_the_demo_glyphs(monkeypatch):

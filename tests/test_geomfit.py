@@ -1,6 +1,5 @@
 """Geometric fitting: polar lines, ellipses, conic conversion, arc angles."""
 
-import itertools
 import math
 import random
 
@@ -260,6 +259,8 @@ def test_fits_read_empty_input_as_zero_points(empty):
         fit_line(empty)
     with pytest.raises(DegenerateInputError, match="need at least 5 distinct pixels"):
         fit_ellipse(empty)
+    with pytest.raises(ValueError, match="no points"):
+        sampson_residual(empty, EllipseCoefficients(1, 0, 1, 0, 0, -1))
 
 
 def test_fit_ellipse_constraint_normalization():
@@ -411,10 +412,23 @@ def _hex(line):
     return line.p.hex(), line.alpha.hex()
 
 
+def _bits(coef):
+    return None if coef is None else [v.hex() for v in coef.as_array().tolist()]
+
+
+def _single_fit(m):
+    """The fit of the moments and None, or None and the error it raised."""
+    try:
+        return fit_ellipse(m), None
+    except (DegenerateInputError, NumericalFitError) as exc:
+        return None, type(exc)
+
+
 def test_fits_equal_their_plain_reference_forms_bitwise():
-    """Every line step and every ellipse candidate of the 500 runs, and
-    of their scaled copies, which fit from float sums about the mean."""
-    fitted = 0
+    """Every line step and every ellipse prefix of the 500 runs, and of
+    their scaled copies, which fit from float sums about the mean; each
+    prefix's Sampson residual under its own fit, too."""
+    outcomes = dict.fromkeys((None, DegenerateInputError, NumericalFitError), 0)
     for run in _runs():
         scaled = [(x + 0.5, y / 3) for x, y in run]
         corner = (min(x for x, _ in run), min(y for _, y in run))
@@ -428,11 +442,16 @@ def test_fits_equal_their_plain_reference_forms_bitwise():
             for j in range(2, len(pts) + 1):
                 m = steps[j] - steps[0]
                 assert _hex(fit_line(m)) == _hex(reference_exact_fit_line(m))
-            block = [rows[e] - rows[0] for e in range(1, len(rows))]
-            got = list(map(_bits, fit_ellipse(block)))
-            assert got == list(map(_bits, reference_exact_fit_block(block)))
-            fitted += sum(g is not None for g in got)
-    assert fitted >= 20_000
+            for e in range(1, len(rows)):
+                m = rows[e] - rows[0]
+                fit, reason = _single_fit(m)
+                outcomes[reason] += 1
+                assert [_bits(fit)] == list(map(_bits, reference_exact_fit_block([m])))
+                if fit is not None:
+                    got = sampson_residual(pts[:e], fit)
+                    assert got.hex() == reference_sampson_residual(pts[:e], fit).hex()
+    # every outcome occurred: fitted, collinear or too few, no eigenvector
+    assert outcomes[None] >= 20_000 and min(outcomes.values()) >= 100, outcomes
 
 
 def test_moments_prefix_slices_and_sums_are_exact():
@@ -488,88 +507,3 @@ def test_collinear_runs_are_degenerate():
             fit_ellipse(run)
         with pytest.raises(DegenerateInputError):
             fit_ellipse(Moments.of(run, 4, (x0, y0)))
-
-
-# ---------------------------------------------------------------------------
-# blocks: one stacked eig and one Sampson pass for many growing runs
-
-
-def _bits(coef):
-    return None if coef is None else [v.hex() for v in coef.as_array().tolist()]
-
-
-def _single_fit(m):
-    try:
-        return fit_ellipse(m), None
-    except (DegenerateInputError, NumericalFitError) as exc:
-        return None, type(exc)
-
-
-def _prefix_blocks():
-    """Per run: its float points and the moments of every prefix of it."""
-    rng = random.Random(19)
-    runs = _runs(480)
-    for _ in range(20):  # straight runs, collinear at every prefix
-        dx, dy = rng.choice([(1, 0), (0, 1), (1, 1), (2, 1), (1, -3)])
-        x0, y0 = rng.randint(0, 500), rng.randint(0, 500)
-        runs.append([(x0 + k * dx, y0 + k * dy) for k in range(rng.randint(5, 40))])
-    for run in runs:
-        origin = (min(x for x, _ in run), min(y for _, y in run))
-        rows = Moments.prefix(run, 4, origin)
-        prefixes = [rows[e] - rows[0] for e in range(1, len(rows))]
-        yield np.array(run, dtype=float), prefixes
-
-
-def test_stacked_eig_equals_single_eig_bitwise():
-    """The premise of block fits: numpy solves each matrix of a stack as
-    it would alone, real and complex spectra alike."""
-    rng = np.random.default_rng(5)
-    scales = rng.choice([1e-6, 1.0, 1e6], size=(500, 1, 1))
-    mats = rng.normal(size=(500, 3, 3)) * scales
-    w, v = np.linalg.eig(mats)
-    assert (w.imag != 0).any() and (w.imag == 0).all(axis=1).any()
-    for mat, wk, vk in zip(mats, w, v):
-        w1, v1 = np.linalg.eig(mat)
-        assert wk.tobytes() == w1.astype(complex).tobytes()
-        assert vk.tobytes() == v1.astype(complex).tobytes()
-
-
-def test_block_fits_equal_single_fits_bitwise():
-    outcomes = dict.fromkeys((None, DegenerateInputError, NumericalFitError), 0)
-    for _, block in _prefix_blocks():
-        singles = [_single_fit(m) for m in block]
-        want = [_bits(fit) for fit, _ in singles]
-        for _, reason in singles:
-            outcomes[reason] += 1
-        assert list(map(_bits, fit_ellipse(block))) == want
-        # a block of one is the single fit, and so is any sub-block
-        k = len(block) // 2
-        assert list(map(_bits, fit_ellipse(block[k : k + 1]))) == want[k : k + 1]
-        assert list(map(_bits, fit_ellipse(block[k:]))) == want[k:]
-    # every kind of member occurred: fitted, collinear or too few, no eigenvector
-    assert min(outcomes.values()) >= 100, outcomes
-
-
-def test_block_sampson_equals_single_sampson_bitwise():
-    compared = 0
-    for pts, block in itertools.islice(_prefix_blocks(), 0, None, 4):
-        fits = fit_ellipse(block)
-        got = sampson_residual(pts, fits)
-        assert len(got) == len(fits)
-        for m, (fit, value) in enumerate(zip(fits, got), start=1):
-            if fit is None:
-                assert value is None
-                continue
-            assert value.hex() == sampson_residual(pts[:m], fit).hex()
-            assert value.hex() == reference_sampson_residual(pts[:m], fit).hex()
-            compared += 1
-        # the tail of a block: its members end at the last points
-        got_tail = sampson_residual(pts, fits[-3:])
-        assert [v is None or v.hex() for v in got_tail] == [
-            v is None or v.hex() for v in got[-3:]
-        ]
-    assert compared >= 2_000
-    with pytest.raises(ValueError):
-        sampson_residual(pts[:2], fits[:3])
-    with pytest.raises(ValueError):
-        sampson_residual(pts, [])
