@@ -293,23 +293,7 @@ def fit_ellipse(pixels) -> EllipseCoefficients:
     linear block S3 is diag([[Sxx, Sxy], [Sxy, Syy]], n); integer pixels
     give the reduced matrix exactly, rounded once to float.
     """
-    system = _reduced_system(_moments(pixels, 4, 5))
-    if system is None:
-        raise DegenerateInputError("pixels are collinear")
-    mat, setup = system
-    eigvals, eigvecs = np.linalg.eig(np.array(mat))
-    fit = _conic_from_eigen(
-        setup, eigvals.real.tolist(), eigvals.imag.tolist(), eigvecs.real.T.tolist()
-    )
-    if fit is None:
-        raise NumericalFitError("no eigenvector satisfies the ellipse constraint")
-    return fit
-
-
-def _reduced_system(m: Moments):
-    """The reduced matrix C1^-1 (S1 + S2 t) of the moments, rounded once,
-    and what `_conic_from_eigen` needs to finish the fit; None when the
-    moments are collinear."""
+    m = _moments(pixels, 4, 5)
     if len(m.sums) < 15:
         raise ValueError("fit_ellipse needs moments of degree 4")
     n = m.sums[0]
@@ -317,7 +301,7 @@ def _reduced_system(m: Moments):
     det = d20 * d02 - d11 * d11
     # exact zero for integer pixels; rounding leaves collinear floats a sliver
     if det <= 1e-18 * (d20 + d02) ** 2:
-        return None
+        raise DegenerateInputError("pixels are collinear")
     # The blocks about the centroid, each central sum scaled by n^(i+j-1)
     # so that it stays an integer: S1 is the scatter of q = (x^2, xy, y^2),
     # S2 = [gx gy g1] its cross-scatter with (x, y, 1), and S3 is the 2x2
@@ -348,20 +332,15 @@ def _reduced_system(m: Moments):
             (det * (d22 - d20 * d02) + d30 * tx2 + d21 * ty2) / scale * 0.5,
         ],
     ]
-    return mat, (m, n, det, (tx0, tx1, tx2), (ty0, ty1, ty2), (d20, d11, d02))
-
-
-def _conic_from_eigen(setup, lams, imags, vecs) -> EllipseCoefficients | None:
-    """The ellipse picked from the reduced matrix's eigenpairs, in page
-    coordinates; None when no eigenvector meets the constraint."""
-    m, n, det, tx, ty, g1 = setup
+    eigvals, eigvecs = np.linalg.eig(np.array(mat))
+    lams = eigvals.real.tolist()
     floor = 1e-12 * max(map(abs, lams))
     # Among real eigenvectors inside the ellipse constraint, 4ac - b^2 > 0:
     # the first minimal eigenvalue above the floor.  An exact fit drives it
     # to numerical zero, and then the first maximal one at or below the
     # floor is the answer.
     best = fallback = None
-    for lam, imag, a1 in zip(lams, imags, vecs):
+    for lam, imag, a1 in zip(lams, eigvals.imag.tolist(), eigvecs.real.T.tolist()):
         if abs(imag) <= 1e-8 * max(1.0, abs(lam)) and (
             cond := 4.0 * a1[0] * a1[2] - a1[1] ** 2
         ) > 0:
@@ -372,14 +351,15 @@ def _conic_from_eigen(setup, lams, imags, vecs) -> EllipseCoefficients | None:
                 fallback = (lam, a1, cond)
     best = best or fallback
     if best is None:
-        return None
+        raise NumericalFitError("no eigenvector satisfies the ellipse constraint")
     _, a1, cond = best
     a1 = [v / math.sqrt(cond) for v in a1]  # enforce 4ac - b^2 = 1
     if a1[0] + a1[2] < 0:
         a1 = [-v for v in a1]  # canonical sign: positive-definite quadratic part
     a, b, c = a1
-    d, e = (sum(map(mul, row, a1)) / (n * det) for row in (tx, ty))
-    f = -sum(map(mul, g1, a1)) / n**2
+    d = sum(map(mul, (tx0, tx1, tx2), a1)) / (n * det)
+    e = sum(map(mul, (ty0, ty1, ty2), a1)) / (n * det)
+    f = -sum(map(mul, (d20, d11, d02), a1)) / n**2
     # back from the centroid (x0, y0) to page coordinates
     x0, y0 = m.centroid()
     return EllipseCoefficients(

@@ -203,9 +203,13 @@ def reference_exact_fit_line(pixels):
     return PolarLine(0.0, normals[0][0])
 
 
-def reference_reduced_system(m):
-    """`geomfit._reduced_system` with the reduced matrix built by index loops."""
+def reference_exact_fit_ellipse(m):
+    """`fit_ellipse` of degree-4 `Moments`, with the reduced matrix built by
+    index loops and the eigenpair picked from filtered lists: the
+    coefficients, or None where the fit raises."""
     n = m.sums[0]
+    if n < 5:
+        return None
     d20, d11, d02, d30, d21, d12, d03, d40, d31, d22, d13, d04 = m.central()
     det = d20 * d02 - d11 * d11
     if det <= 1e-18 * (d20 + d02) ** 2:
@@ -221,12 +225,8 @@ def reference_reduced_system(m):
     ]
     scale = n**3 * det
     mat = [[v / scale * w for v in red[2 - i]] for i, w in enumerate((0.5, -1.0, 0.5))]
-    return mat, (m, n, det, tx, ty, g1)
-
-
-def reference_conic_from_eigen(setup, lams, imags, vecs):
-    """`geomfit._conic_from_eigen` picking its eigenpair from filtered lists."""
-    m, n, det, tx, ty, g1 = setup
+    w, v = np.linalg.eig(np.array(mat))
+    lams, imags, vecs = w.real.tolist(), w.imag.tolist(), v.real.T.tolist()
     floor = 1e-12 * max(map(abs, lams))
     found = [
         (lam, a1, cond)
@@ -251,24 +251,6 @@ def reference_conic_from_eigen(setup, lams, imags, vecs):
         a, b, c, d - 2.0 * a * x0 - b * y0, e - 2.0 * c * y0 - b * x0,
         f + a * x0 * x0 + b * x0 * y0 + c * y0 * y0 - d * x0 - e * y0,
     )
-
-
-def reference_exact_fit_block(block):
-    """Each member of a list of degree-4 `Moments` fitted alone, with its
-    own `np.linalg.eig`: its coefficients, or None."""
-    fits = []
-    for m in block:
-        system = reference_reduced_system(m) if m.sums[0] >= 5 else None
-        if system is None:
-            fits.append(None)
-            continue
-        w, v = np.linalg.eig(np.array(system[0]))
-        fits.append(
-            reference_conic_from_eigen(
-                system[1], w.real.tolist(), w.imag.tolist(), v.real.T.tolist()
-            )
-        )
-    return fits
 
 
 def algebraic_residual(pixels, coef):

@@ -158,6 +158,24 @@ def test_fit_line_and_ellipse(tmp_path, capsys):
     assert out["line"]["l"] == pytest.approx(19.0)
 
 
+def test_fit_ellipse_reports_the_geometry_and_the_coefficients(tmp_path, capsys):
+    path = tmp_path / "oval.pbm"
+    write_pbm(render_glyph("oval", 100), path)
+    assert main(["fit", str(path), "--kind", "ellipse"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert list(out) == ["ellipse"]
+    ell = out["ellipse"]
+    assert ell["x0"] == pytest.approx(52, abs=0.5)
+    assert ell["y0"] == pytest.approx(52, abs=0.5)
+    assert ell["a"] == pytest.approx(36, abs=0.5)
+    assert ell["b"] == pytest.approx(27, abs=0.5)
+    assert ell["phi"] == 0
+    coef = ell["coefficients"]
+    assert len(coef) == 6 and all(map(np.isfinite, coef))
+    a, b, c = coef[:3]
+    assert 4 * a * c - b * b == pytest.approx(1)
+
+
 def test_fit_degenerate_input(tmp_path, capsys):
     path = tmp_path / "dot.pbm"
     write_pbm(BinaryRaster.from_pixels([(1, 1)], 3, 3), path)
@@ -204,6 +222,19 @@ def test_encode_svg_overlay(tmp_path, glyph_pbm, tuned_config):
     ) == EXIT_OK
     text = svg.read_text()
     assert text.startswith("<svg") and "stroke=\"blue\"" in text
+    # an arc and a dot draw a red path and a green circle
+    path = tmp_path / "more.pbm"
+    for image, want in (
+        (render_glyph("oval", 60), (1, 0)),
+        (BinaryRaster.from_pixels([(3, 3), (4, 3)], 8, 8), (0, 1)),
+    ):
+        write_pbm(image, path)
+        args = ["encode", str(path), "--config", str(tuned_config), "--svg", str(svg)]
+        assert main(args + ["-o", str(tmp_path / "code.json")]) == EXIT_OK
+        text = svg.read_text()
+        arcs = re.findall(r'<path d="M [^"]+" fill="none" stroke="red"', text)
+        dots = re.findall(r'<circle [^>]*stroke="green"', text)
+        assert (len(arcs), len(dots)) == want
 
 
 def test_unwritable_output_exits_2(tmp_path, glyph_pbm, capsys):

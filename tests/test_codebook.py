@@ -5,7 +5,7 @@ import itertools
 import json
 import os
 import threading
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -163,6 +163,13 @@ def test_common_code_empty_error():
         extract_common_code([a, b], [1, 1], TOL)
 
 
+def test_common_code_needs_one_code_per_size():
+    code = _seq(PointCode(0, 0))
+    for codes, sizes in (([], []), ([code], [50, 60]), ([code, code], [50])):
+        with pytest.raises(ValueError, match="one code per render size"):
+            extract_common_code(codes, sizes, TOL)
+
+
 def test_common_code_is_subset_of_inputs():
     from glyphcode.matcher import sequence_subset
 
@@ -295,10 +302,19 @@ def test_differing_glyph_yields_fingerprint(demo_corpus):
 def test_identify_font_empty_and_tie(demo_book):
     from glyphcode import WordCode
 
+    with pytest.raises(ValueError, match="at least one codebook"):
+        build_fingerprints([])
     build_fingerprints([demo_book])
     assert identify_font(WordCode(()), [demo_book]) is None
     word = scale_word(encode_word(render_glyph("vline", 60), CFG), 1.0 / 60)
     assert identify_font(word, []) is None
+    # two books whose fingerprints each hit the word once tie
+    a, b = _line_book("A", 50, 6), _line_book("B", 52, 6)
+    for book in (a, b):
+        book.fingerprint = [book.entries[("line", "isolated")].code]
+    word = WordCode((WordEntry(_seq(LineSegmentCode(0, 51, 0.5)), (9, 9, 9)),))
+    assert identify_font(word, [a]) == "A" and identify_font(word, [b]) == "B"
+    assert identify_font(word, [a, b]) is None
 
 
 def _line_book(font, alpha, dalpha):
@@ -489,6 +505,16 @@ def _saved_book(tmp_path, tolerances=TOL, entry=None, fingerprint=()):
 NAN, INF = float("nan"), float("inf")
 
 
+@dataclass(frozen=True)
+class _Arity4:
+    """A primitive of four numbers, saved as [1, 2, 3, 4]: no kind has four."""
+
+    a: float
+    b: float
+    c: float
+    d: float
+
+
 @pytest.mark.parametrize(
     "code",
     [
@@ -506,11 +532,12 @@ NAN, INF = float("nan"), float("inf")
         _seq(LineSegmentCode(0.1, 90, "0.8")),
         _seq(PointCode("1", "2")),
         _seq(EllipseArcCode(0.5, 0.5, 0.3, 0.1, 0, False, 90)),
+        _seq(_Arity4(1, 2, 3, 4)),
     ],
     ids=[
         "empty", "arc-nan-x0", "arc-zero-axes", "arc-negative-b", "arc-a-below-b",
         "arc-inf-gamma", "line-zero-l", "line-negative-l", "line-inf-p", "point-nan",
-        "line-bool-p", "line-string-l", "point-strings", "arc-bool-beta",
+        "line-bool-p", "line-string-l", "point-strings", "arc-bool-beta", "arity-4",
     ],
 )
 def test_load_rejects_bad_codes(tmp_path, code):

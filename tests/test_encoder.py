@@ -605,9 +605,8 @@ def test_arc_rejoin_tries_the_unions_of_the_restarting_scan(make, monkeypatch):
 def test_arc_stage_fitting_work_on_the_demo_glyphs(monkeypatch):
     """The demo glyphs at 60 and 120 px make 80 ellipse fits, each of one
     `Moments`, and 60 Sampson calls.  Growing arc runs one pixel per
-    step fitted 830 candidate ends (in 94 block calls) with 80 Sampson
-    calls, so a return to per-pixel growth shows here before it shows in
-    timings."""
+    step fitted 830 candidate ends with 80 Sampson calls, so a return to
+    per-pixel growth shows here before it shows in timings."""
     fits, sampson = [], []
     fit_ellipse, sampson_residual = encoder.fit_ellipse, encoder.sampson_residual
 

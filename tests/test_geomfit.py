@@ -28,7 +28,7 @@ from conftest import (
     grid_line_oracle,
     orthogonal_sse,
     random_pixel_run,
-    reference_exact_fit_block,
+    reference_exact_fit_ellipse,
     reference_exact_fit_line,
     reference_fit_ellipse,
     reference_fit_line,
@@ -72,6 +72,9 @@ def test_fit_line_degenerate():
         fit_line([(1, 1)])
     with pytest.raises(DegenerateInputError):
         fit_line([(2, 2), (2, 2), (2, 2)])
+    # moments count points, not distinct ones: two copies of one point
+    with pytest.raises(DegenerateInputError):
+        fit_line(Moments.of([(3, 4), (3, 4)]))
 
 
 def test_fit_line_p_nonnegative_and_alpha_range():
@@ -153,6 +156,11 @@ def test_fits_reject_an_infinite_coordinate():
                 fit(pts)
 
 
+def test_sampson_residual_rejects_points_that_are_not_pairs():
+    with pytest.raises(ValueError, match=r"\(x, y\) points"):
+        sampson_residual([(1, 2, 3)], EllipseCoefficients(1, 0, 1, 0, 0, -1))
+
+
 # ---------------------------------------------------------------------------
 # point_line_distance / segment_extent
 
@@ -179,6 +187,9 @@ def test_segment_extent_examples():
     pts = [(0, 0), (1, 0), (1, 0)]
     lo, hi = segment_extent(pts, fit_line(pts))
     assert hi - lo == pytest.approx(1.0)
+
+    with pytest.raises(DegenerateInputError):
+        segment_extent([(1, 1)], PolarLine(3, 90))
 
 
 def test_cached_normal_reads_what_per_call_trig_reads():
@@ -300,6 +311,16 @@ def test_conic_axis_aligned():
 def test_conic_non_ellipse_rejected():
     with pytest.raises(NonEllipseError):
         conic_to_geometric(EllipseCoefficients(1, 0, -1, 0, 0, -1))  # hyperbola
+    with pytest.raises(NonEllipseError, match="not a real ellipse"):
+        # (x^2 + y^2) / 2 + 1 = 0 has no real points
+        conic_to_geometric(EllipseCoefficients(0.5, 0, 0.5, 0, 0, 1))
+
+
+def test_conic_negated_gives_the_same_geometry():
+    coef = fit_ellipse(sample_ellipse(7.0, -3.0, 12.0, 5.0, 30.0, n=40))
+    negated = EllipseCoefficients(*(-coef.as_array()).tolist())
+    assert negated.a + negated.c < 0
+    assert conic_to_geometric(negated) == conic_to_geometric(coef)
 
 
 def test_fit_roundtrip_within_one_percent():
@@ -446,7 +467,7 @@ def test_fits_equal_their_plain_reference_forms_bitwise():
                 m = rows[e] - rows[0]
                 fit, reason = _single_fit(m)
                 outcomes[reason] += 1
-                assert [_bits(fit)] == list(map(_bits, reference_exact_fit_block([m])))
+                assert _bits(fit) == _bits(reference_exact_fit_ellipse(m))
                 if fit is not None:
                     got = sampson_residual(pts[:e], fit)
                     assert got.hex() == reference_sampson_residual(pts[:e], fit).hex()

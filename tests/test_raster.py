@@ -501,24 +501,30 @@ def test_load_image_binarizes_pgm(tmp_path):
     assert img.bits.tolist() == [[True, False]]
 
 
-@pytest.mark.parametrize(
-    "payload",
-    [
-        b"P4\n",  # truncated header
-        b"P7\n2 2\n",  # unsupported magic
-        b"P1\n0 2\n",  # zero width
-        b"P1\n2 2\n1 0 1",  # truncated pixels
-        b"P1\n3 1\n1 0 x\n",  # a pixel that is neither 0 nor 1
-        b"P5\n2 2\n70000\nxxxx",  # bad maxval
-        b"P2\n1 1\n255\n300\n",  # a sample above 255
-        b"P2\n1 1\n100\n200\n",  # a sample above maxval
-        b"P5\n1 1\n100\n" + bytes([200]),  # a raw sample above maxval
-    ],
-)
+# Each malformed file and the message it is refused with
+_MALFORMED = {
+    b"P": "file too short for a netpbm header",
+    b"P4\n": "unexpected end of header",
+    b"P7\n2 2\n": "unsupported magic b'P7'",
+    b"P1\n0 2\n": "width and height must be positive",
+    b"P1\n2 2\n1 0 1": "truncated P1 pixel data",
+    b"P1\n3 1\n1 0 x\n": "P1 pixel data must be 0s and 1s",
+    b"P5\n2 2\n70000\nxxxx": "bad PGM dimensions or maxval",
+    b"P5\n1 1\n65535\n\x00\x00": "16-bit PGM is not supported",
+    b"P2\n1 1\n255\n300\n": "PGM sample above maxval 255",
+    b"P2\n1 1\n100\n200\n": "PGM sample above maxval 100",
+    b"P5\n1 1\n100\n" + bytes([200]): "PGM sample above maxval 100",
+    b"P4\n8 1#c\n\x00": "no whitespace byte before the P4 raster",
+    b"P4\n9 2\n\x00\x00\x00": "truncated P4 pixel data",
+    b"P5\n2 2\n255\n\x00\x00\x00": "truncated P5 pixel data",
+}
+
+
+@pytest.mark.parametrize("payload", list(_MALFORMED))
 def test_malformed_netpbm(tmp_path, payload):
     path = tmp_path / "bad.pbm"
     path.write_bytes(payload)
-    with pytest.raises(RasterFormatError):
+    with pytest.raises(RasterFormatError, match=f"^{re.escape(_MALFORMED[payload])}$"):
         read_netpbm(path)
 
 
